@@ -29,6 +29,7 @@ from .codebook import (
 )
 from .detectors import (
     DetectionResult,
+    Receiver,
     SphereConfig,
     SphereTable,
     assemble_list,
@@ -51,6 +52,7 @@ from .experiments import (
     ExperimentRecord,
     records_to_csv,
     records_to_json,
+    run_bound_sweep,
     run_sep_experiment,
     run_ser_experiment,
     run_tradeoff_sweep,

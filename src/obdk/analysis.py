@@ -19,13 +19,7 @@ from scipy.special import logsumexp
 
 from .channel import RealChannel, quantize_sign
 from .codebook import Codebook
-from .detectors import (
-    SphereConfig,
-    SphereTable,
-    _pattern_matrix,
-    assemble_list,
-    distance_affine,
-)
+from .detectors import Receiver, SphereConfig, SphereTable, _pattern_matrix, distance_affine
 from .weights import WeightSet
 
 
@@ -105,6 +99,28 @@ def sep_bound(inputs: SepBoundInputs) -> float:
     return total / k_total
 
 
+def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator):
+    """Uniform codeword indices and their one-bit observations (float64
+    +/-1, the form receivers score); draws the indices first, then the
+    noise, from ``rng``."""
+    ks = rng.integers(0, codebook.size, size=trials)
+    noise = rng.standard_normal((trials, ch.n_outputs)) * ch.noise_std_per_component
+    obs = quantize_sign(codebook.symbols.vectors[ks] @ ch.entries.T + noise)
+    return ks, obs.astype(np.float64)
+
+
+def _sphere_counts(ks, obs, full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
+    """(list misses, losses, summed list length) of one batch: a miss is a
+    true index absent from its list, a loss a trial that the full search
+    gets right and the sphere decoder gets wrong."""
+    cand = sphere.candidates(obs)
+    full_hat, _, _ = full.detect(obs)
+    sphere_hat, _, lens = sphere.detect(obs, cand)
+    listed = np.any(cand == ks[:, None], axis=1)
+    losses = (full_hat == ks) & (sphere_hat != ks)
+    return int(np.count_nonzero(~listed)), int(np.count_nonzero(losses)), int(lens.sum())
+
+
 def sep_empirical(
     ch: RealChannel,
     codebook: Codebook,
@@ -122,25 +138,9 @@ def sep_empirical(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k_total = codebook.size
-    ks = rng.integers(0, k_total, size=trials)
-    noise = rng.standard_normal((trials, ch.n_outputs)) * ch.noise_std_per_component
-    obs = quantize_sign(codebook.symbols.vectors[ks] @ ch.entries.T + noise)
-
+    ks, obs = _draw_trials(ch, codebook, trials, rng)
     base, coef = distance_affine(codebook, ws)
-    dists = base[None, :] - obs.astype(np.float64) @ coef.T
-    mwd_hat = np.argmin(dists, axis=1)
-
-    misses = 0
-    losses = 0
-    for t in range(trials):
-        cand = assemble_list(obs[t], table)
-        row = dists[t, cand]
-        osd_hat = int(cand[np.argmin(row)])
-        if ks[t] not in cand:
-            misses += 1
-        if mwd_hat[t] == ks[t] and osd_hat != ks[t]:
-            losses += 1
+    misses, losses, _ = _sphere_counts(ks, obs, Receiver(base, coef), Receiver(base, coef, table))
     return misses / trials, losses / trials
 
 

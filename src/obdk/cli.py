@@ -15,24 +15,19 @@ import sys
 
 import numpy as np
 
-from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, compute_llrs, sep_bound
-from .channel import RealChannel
+from .analysis import ComplexityQuery, complexity_model, compute_llrs
 from .detectors import SphereConfig, assemble_list, build_sphere_table, write_sphere_table
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    _channel_setup,
     resolve_workers,
+    run_bound_sweep,
     run_sep_experiment,
     run_ser_experiment,
     run_tradeoff_sweep,
-    snr_db_to_sigma_sq,
-    validate_sep_config,
-    validate_ser_config,
-    validate_tradeoff_config,
+    single_block,
     write_records,
 )
-from .weights import compute_weights_approx
 
 
 def _float_list(text: str) -> tuple:
@@ -102,48 +97,25 @@ def _config_from_args(args, detectors, list_sizes=None) -> ExperimentConfig:
 
 def _cmd_ser(args) -> int:
     cfg = _config_from_args(args, detectors=args.detectors)
-    validate_ser_config(cfg)
     write_records(run_ser_experiment(cfg), cfg.out, cfg.fmt)
     return 0
 
 
 def _cmd_sep(args) -> int:
     cfg = _config_from_args(args, detectors=("mwd", "osd"))
-    validate_sep_config(cfg)
     write_records(run_sep_experiment(cfg), cfg.out, cfg.fmt)
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
     cfg = _config_from_args(args, detectors=("mld", "osd"), list_sizes=args.list_sizes)
-    validate_tradeoff_config(cfg)
     write_records(run_tradeoff_sweep(cfg), cfg.out, cfg.fmt)
     return 0
 
 
 def _cmd_bound(args) -> int:
     cfg = _config_from_args(args, detectors=("osd",))
-    validate_sep_config(cfg)
-    from .experiments import ExperimentRecord
-
-    sphere = SphereConfig(cfg.n_sub, cfg.list_size)
-    records = []
-    per_channel = []
-    for ci in range(cfg.channels):
-        _, h_entries, cb = _channel_setup(cfg, ci)
-        per_channel.append((h_entries, cb))
-    for snr in cfg.snr_db:
-        sigma_sq = snr_db_to_sigma_sq(snr)
-        vals = []
-        for h_entries, cb in per_channel:
-            ch = RealChannel(h_entries, sigma_sq)
-            ws = compute_weights_approx(ch, cb.symbols)
-            vals.append(min(1.0, max(0.0, sep_bound(SepBoundInputs.build(cb, ws, sphere)))))
-        records.append(
-            ExperimentRecord("bound", float(snr), cfg.channels, 0, 0,
-                             sum(vals) / len(vals), 0.0, 0, cfg.seed)
-        )
-    write_records(records, cfg.out, cfg.fmt)
+    write_records(run_bound_sweep(cfg), cfg.out, cfg.fmt)
     return 0
 
 
@@ -165,10 +137,7 @@ def _build_single_channel(args):
         users=args.users, antennas=args.antennas, modulation=args.mod,
         seed=args.seed, n_sub=args.ns, list_size=args.list_size,
     )
-    _, h_entries, cb = _channel_setup(cfg, 0)
-    ch = RealChannel(h_entries, snr_db_to_sigma_sq(args.snr_db))
-    ws = compute_weights_approx(ch, cb.symbols)
-    return cb, ws
+    return single_block(cfg, args.snr_db)
 
 
 def _cmd_table_build(args) -> int:

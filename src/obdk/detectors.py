@@ -14,8 +14,9 @@ detection time the candidate list is the union of the looked-up
 sub-lists and the weighted-distance rule runs only on that list.
 
 All distances are affine in the +/-1 observation: d_k(y) = base_k -
-coef_k . y. Detectors therefore reduce to one matrix-vector product per
-observation, and ties always resolve to the smallest codeword index.
+coef_k . y. Every detector is therefore one :class:`Receiver`, the
+affine form (plus the table for the sphere decoder) prepared once per
+coherence block; ties always resolve to the smallest codeword index.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .weights import WeightSet, log_q
 MAX_SUBVECTOR_DIM = 20
 
 _TABLE_MAGIC = b"OSD1"
-
 
 @dataclass(frozen=True)
 class SphereConfig:
@@ -159,38 +159,91 @@ def loglik_affine(codebook: Codebook, ch: RealChannel):
     return base, coef
 
 
-def _check_observation(y, n_outputs: int) -> np.ndarray:
-    y = np.asarray(y)
-    if y.shape != (n_outputs,):
-        raise ValueError(f"observation has shape {y.shape}, expected ({n_outputs},)")
-    return y.astype(np.float64)
+@dataclass(frozen=True)
+class Receiver:
+    """One detector prepared for one coherence block.
+
+    Scores are affine in the observation, s_k(y) = base_k - coef_k . y;
+    the lowest score wins and ties go to the smallest codeword index.
+    With a sphere table the search is restricted to the looked-up
+    candidates, whose scores cost O(T * G * L) for a batch of T
+    observations. Build it once per block and call :meth:`detect` on
+    every batch.
+    """
+
+    base: np.ndarray
+    coef: np.ndarray
+    table: SphereTable | None = None
+
+    def _batch(self, obs) -> np.ndarray:
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.ndim != 2 or obs.shape[1] != self.coef.shape[1]:
+            raise ValueError(
+                f"observations have shape {obs.shape}, expected (T, {self.coef.shape[1]})"
+            )
+        return obs
+
+    def candidates(self, obs) -> np.ndarray:
+        """(T, G*L) looked-up sub-list indices of a (T, 2N) batch, sorted
+        per row; an index listed by several groups repeats."""
+        return _candidates(self.table, self._batch(obs))
+
+    def detect(self, obs, cand=None):
+        """(winning indices, their scores, searched list lengths) of a
+        (T, 2N) batch of +/-1 observations. A sphere receiver takes the
+        batch's :meth:`candidates` as ``cand`` when the caller has them."""
+        obs = self._batch(obs)
+        if self.table is None:
+            scores = self.base[None, :] - obs @ self.coef.T
+        else:
+            if cand is None:
+                cand = _candidates(self.table, obs)
+            scores = self.base[cand] - np.einsum("tcn,tn->tc", self.coef[cand], obs)
+        # Scores closer than rounding can tell apart tie. An exact match
+        # under the high-SNR rule scores base - coef.y = 0 only up to
+        # cancellation noise, which GEMM, GEMV and the gathered product
+        # round differently. Every affine form here has
+        # sum_i |coef_ki| <= |base_k|, so one score errs by at most
+        # (2N + 1) eps max|base|; tol is twice the gap two such errors open.
+        tol = 4 * (obs.shape[1] + 1) * np.finfo(np.float64).eps * np.max(np.abs(self.base))
+        best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
+        rows = np.arange(len(obs))
+        if self.table is None:
+            return best, scores[rows, best], np.full(len(obs), len(self.base))
+        lens = 1 + np.count_nonzero(np.diff(cand, axis=1), axis=1)
+        return cand[rows, best], scores[rows, best], lens
+
+
+def _candidates(table: SphereTable, obs: np.ndarray) -> np.ndarray:
+    trials = len(obs)
+    g_count, n_patterns, list_size = table.indices.shape
+    signs = obs.reshape(trials, g_count, table.n_sub) < 0
+    pats = signs @ (1 << np.arange(table.n_sub)) + n_patterns * np.arange(g_count)
+    rows = table.indices.reshape(-1, list_size)[pats]
+    return np.sort(rows.reshape(trials, -1), axis=1).astype(np.int64)
+
+
+def _detect_one(rx: Receiver, y) -> DetectionResult:
+    index, score, lens = rx.detect(np.asarray(y)[None])
+    return DetectionResult(int(index[0]), float(score[0]), int(lens[0]))
 
 
 def detect_mld(y, codebook: Codebook, ch: RealChannel) -> DetectionResult:
     """Maximum-likelihood detection; ties break to the smallest index."""
-    yf = _check_observation(y, ch.n_outputs)
     base, coef = loglik_affine(codebook, ch)
-    scores = base + coef @ yf
-    k = int(np.argmax(scores))
-    return DetectionResult(k, float(scores[k]), codebook.size)
+    # Negated log-likelihoods; fl(-a - b) = -fl(a + b), so negating back is exact.
+    r = _detect_one(Receiver(-base, coef), y)
+    return DetectionResult(r.index, -r.distance, r.list_len)
 
 
 def detect_mwd(y, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Minimum weighted-Hamming-distance detection over the full codebook."""
-    yf = _check_observation(y, codebook.n_outputs)
-    base, coef = distance_affine(codebook, ws)
-    d = base - coef @ yf
-    k = int(np.argmin(d))
-    return DetectionResult(k, float(d[k]), codebook.size)
+    return _detect_one(Receiver(*distance_affine(codebook, ws)), y)
 
 
 def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Distance rule with match weights dropped (they vanish at high SNR)."""
-    yf = _check_observation(y, codebook.n_outputs)
-    base, coef = _mismatch_affine(codebook, ws)
-    d = base - coef @ yf
-    k = int(np.argmin(d))
-    return DetectionResult(k, float(d[k]), codebook.size)
+    return _detect_one(Receiver(*_mismatch_affine(codebook, ws)), y)
 
 
 def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> SphereTable:
@@ -224,11 +277,6 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     return SphereTable(table, cfg.n_sub, cfg.list_size, k_total)
 
 
-def _group_patterns(y, table: SphereTable) -> np.ndarray:
-    bits = (1 - np.asarray(y, dtype=np.int64).reshape(table.group_count, table.n_sub)) // 2
-    return bits @ (1 << np.arange(table.n_sub, dtype=np.int64))
-
-
 def assemble_list(y, table: SphereTable) -> np.ndarray:
     """Union of the per-group sub-lists addressed by y's sub-patterns.
 
@@ -237,19 +285,12 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (table.n_outputs,):
         raise ValueError(f"observation has shape {y.shape}, expected ({table.n_outputs},)")
-    pats = _group_patterns(y, table)
-    rows = table.indices[np.arange(table.group_count), pats]
-    return np.unique(rows).astype(np.int64)
+    return np.unique(_candidates(table, y[None, :]))
 
 
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Weighted-distance rule restricted to the assembled candidate list."""
-    candidates = assemble_list(y, table)
-    yf = np.asarray(y, dtype=np.float64)
-    base, coef = distance_affine(codebook, ws)
-    d = base[candidates] - coef[candidates] @ yf
-    j = int(np.argmin(d))
-    return DetectionResult(int(candidates[j]), float(d[j]), len(candidates))
+    return _detect_one(Receiver(*distance_affine(codebook, ws), table), y)
 
 
 def sphere_table_to_bytes(table: SphereTable) -> bytes:

@@ -16,18 +16,25 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, sep_bound
-from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream_rng
-from .codebook import Codebook, build_codebook, enumerate_symbol_vectors, make_constellation
+from .analysis import (
+    ComplexityQuery,
+    SepBoundInputs,
+    _draw_trials,
+    _sphere_counts,
+    complexity_model,
+    sep_bound,
+)
+from .channel import RealChannel, sample_rayleigh_channel, stream_rng
+from .codebook import build_codebook, enumerate_symbol_vectors, make_constellation
 from .detectors import (
+    MAX_SUBVECTOR_DIM,
+    Receiver,
     SphereConfig,
-    assemble_list,
     build_sphere_table,
     distance_affine,
     loglik_affine,
@@ -48,12 +55,6 @@ CSV_COLUMNS = (
     "distance_evals",
     "seed",
 )
-
-# Dense trial x codeword membership masks are used when the pattern
-# table is small enough; otherwise candidate lists are assembled per
-# trial.
-_DENSE_MEMBER_LIMIT = 1 << 26
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
@@ -118,13 +119,10 @@ class ExperimentRecord:
     mean_list_len: float
     distance_evals: int
     seed: int
-    wall_ns: int = 0
     rel_ser: float | None = None
     rel_complexity: float | None = None
 
     def output_fields(self) -> dict:
-        # wall_ns is runtime diagnostics only; keeping it out of the
-        # serialized row makes equal-seed outputs byte-identical.
         out = {
             "detector": self.detector,
             "snr_db": float(self.snr_db),
@@ -156,11 +154,24 @@ def _check_common(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unsupported --mod value: {cfg.modulation!r}")
 
 
+def _check_sphere(cfg: ExperimentConfig, list_sizes) -> None:
+    two_n = 2 * cfg.antennas
+    k_total = make_constellation(cfg.modulation).size ** cfg.users
+    if not 1 <= cfg.n_sub <= MAX_SUBVECTOR_DIM:
+        raise ConfigError(f"--ns must lie in [1, {MAX_SUBVECTOR_DIM}], got {cfg.n_sub}")
+    if two_n % cfg.n_sub:
+        raise ConfigError(f"--ns {cfg.n_sub} must divide the observation length 2N = {two_n}")
+    for lsz in list_sizes:
+        if not 1 <= lsz < k_total:
+            raise ConfigError(f"list size {lsz} must lie in [1, K) with K = {k_total}")
+
+
 def _check_osd_params(cfg: ExperimentConfig) -> None:
     if cfg.n_sub is None:
         raise ConfigError("--ns is required when the sphere decoder is selected")
     if cfg.list_size is None:
         raise ConfigError("--list-size is required when the sphere decoder is selected")
+    _check_sphere(cfg, (cfg.list_size,))
 
 
 def validate_ser_config(cfg: ExperimentConfig) -> None:
@@ -187,6 +198,7 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--ns is required for the tradeoff sweep")
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
+    _check_sphere(cfg, cfg.list_sizes)
 
 
 def _channel_setup(cfg: ExperimentConfig, channel_index: int):
@@ -202,85 +214,55 @@ def _channel_setup(cfg: ExperimentConfig, channel_index: int):
     return rng, ch0.entries, cb
 
 
-def _draw_observations(cfg, rng, h_entries, cb, sigma_sq):
-    ks = rng.integers(0, cb.size, size=cfg.trials)
-    noise = rng.standard_normal((cfg.trials, h_entries.shape[0])) * np.sqrt(sigma_sq / 2.0)
-    obs = quantize_sign(cb.symbols.vectors[ks] @ h_entries.T + noise)
-    return ks, obs
+def single_block(cfg: ExperimentConfig, snr_db: float):
+    """Codebook and approximate weights of channel 0 at one SNR, for the
+    commands that work on a single block (sphere-table build, soft outputs)."""
+    _check_osd_params(cfg)
+    _, h_entries, cb = _channel_setup(cfg, 0)
+    ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr_db))
+    return cb, compute_weights_approx(ch, cb.symbols)
 
 
-def _osd_batch(cb: Codebook, ws, sphere: SphereConfig, obs_f: np.ndarray, dists: np.ndarray):
-    """Sphere-decode a batch: (winner indices, per-trial list length,
-    true-index membership test array shape (T, K))."""
-    table = build_sphere_table(cb, ws, sphere)
-    n_patterns = 1 << table.n_sub
-    trials = obs_f.shape[0]
-    if n_patterns * cb.size <= _DENSE_MEMBER_LIMIT:
-        members = np.zeros((trials, cb.size), dtype=bool)
-        weights_bits = 1 << np.arange(table.n_sub, dtype=np.int64)
-        for g in range(table.group_count):
-            cols = slice(g * table.n_sub, (g + 1) * table.n_sub)
-            pats = ((1 - obs_f[:, cols].astype(np.int64)) // 2) @ weights_bits
-            group_members = np.zeros((n_patterns, cb.size), dtype=bool)
-            np.put_along_axis(group_members, table.indices[g].astype(np.int64), True, axis=1)
-            members |= group_members[pats]
-        masked = np.where(members, dists, np.inf)
-        winners = np.argmin(masked, axis=1)
-        return winners, members.sum(axis=1), members
-    winners = np.empty(trials, dtype=np.int64)
-    members = np.zeros((trials, cb.size), dtype=bool)
-    for t in range(trials):
-        cand = assemble_list(obs_f[t].astype(np.int8), table)
-        members[t, cand] = True
-        winners[t] = cand[np.argmin(dists[t, cand])]
-    return winners, members.sum(axis=1), members
+def _receivers(cb, ch: RealChannel, detectors):
+    """Prepared receivers of one block, one per entry of ``detectors``: a
+    full-search detector name, or a SphereConfig for the sphere decoder.
+    Also returns the approximate weights (None if no entry needs them)."""
+    ws = approx = None
+    if any(d not in ("mld", "mwd-exact") for d in detectors):
+        ws = compute_weights_approx(ch, cb.symbols)
+        approx = distance_affine(cb, ws)
+    receivers = []
+    for det in detectors:
+        if det == "mld":
+            base, coef = loglik_affine(cb, ch)
+            receivers.append(Receiver(-base, coef))
+        elif det == "mwd-exact":
+            receivers.append(Receiver(*distance_affine(cb, compute_weights_exact(ch, cb.symbols))))
+        elif det == "mwd":
+            receivers.append(Receiver(*approx))
+        elif det == "mwd-hs":
+            receivers.append(Receiver(*_mismatch_affine(cb, ws)))
+        else:
+            receivers.append(Receiver(*approx, build_sphere_table(cb, ws, det)))
+    return receivers, ws
 
 
-def _ser_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
+def _clamped_bound(cb, ws, sphere: SphereConfig) -> float:
+    return float(min(1.0, max(0.0, sep_bound(SepBoundInputs.build(cb, ws, sphere)))))
+
+
+def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dict:
+    """(errors, summed list length) of each receiver of ``detectors`` (see
+    :func:`_receivers`), keyed by (position, SNR); every receiver sees the
+    same observations."""
     rng, h_entries, cb = _channel_setup(cfg, channel_index)
     out = {}
     for snr in cfg.snr_db:
-        sigma_sq = snr_db_to_sigma_sq(snr)
-        ch = RealChannel(h_entries, sigma_sq)
-        ks, obs = _draw_observations(cfg, rng, ch.entries, cb, sigma_sq)
-        obs_f = obs.astype(np.float64)
-
-        ws_exact = ws_approx = None
-        if "mwd-exact" in cfg.detectors:
-            ws_exact = compute_weights_exact(ch, cb.symbols)
-        if any(d in cfg.detectors for d in ("mwd", "mwd-hs", "osd")):
-            ws_approx = compute_weights_approx(ch, cb.symbols)
-
-        dists_approx = None
-        if ws_approx is not None:
-            base, coef = distance_affine(cb, ws_approx)
-            dists_approx = base[None, :] - obs_f @ coef.T
-
-        for det in cfg.detectors:
-            if det == "mld":
-                base, coef = loglik_affine(cb, ch)
-                winners = np.argmax(base[None, :] + obs_f @ coef.T, axis=1)
-                lens, evals = None, cfg.trials * cb.size
-            elif det == "mwd-exact":
-                base, coef = distance_affine(cb, ws_exact)
-                winners = np.argmin(base[None, :] - obs_f @ coef.T, axis=1)
-                lens, evals = None, cfg.trials * cb.size
-            elif det == "mwd":
-                winners = np.argmin(dists_approx, axis=1)
-                lens, evals = None, cfg.trials * cb.size
-            elif det == "mwd-hs":
-                base, coef = _mismatch_affine(cb, ws_approx)
-                winners = np.argmin(base[None, :] - obs_f @ coef.T, axis=1)
-                lens, evals = None, cfg.trials * cb.size
-            else:
-                sphere = SphereConfig(cfg.n_sub, cfg.list_size)
-                winners, lens, _ = _osd_batch(cb, ws_approx, sphere, obs_f, dists_approx)
-                evals = int(lens.sum())
-            out[(det, snr)] = {
-                "errors": int(np.count_nonzero(winners != ks)),
-                "list_sum": int(lens.sum()) if lens is not None else cfg.trials * cb.size,
-                "evals": evals,
-            }
+        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
+        ks, obs = _draw_trials(ch, cb, cfg.trials, rng)
+        for i, rx in enumerate(_receivers(cb, ch, detectors)[0]):
+            winners, _, lens = rx.detect(obs)
+            out[(i, snr)] = (int(np.count_nonzero(winners != ks)), int(lens.sum()))
     return out
 
 
@@ -289,48 +271,26 @@ def _sep_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
     sphere = SphereConfig(cfg.n_sub, cfg.list_size)
     out = {}
     for snr in cfg.snr_db:
-        sigma_sq = snr_db_to_sigma_sq(snr)
-        ch = RealChannel(h_entries, sigma_sq)
-        ks, obs = _draw_observations(cfg, rng, ch.entries, cb, sigma_sq)
-        obs_f = obs.astype(np.float64)
-        ws = compute_weights_approx(ch, cb.symbols)
-        base, coef = distance_affine(cb, ws)
-        dists = base[None, :] - obs_f @ coef.T
-        mwd_winners = np.argmin(dists, axis=1)
-        osd_winners, lens, members = _osd_batch(cb, ws, sphere, obs_f, dists)
-        in_list = members[np.arange(cfg.trials), ks]
-        bound = sep_bound(SepBoundInputs.build(cb, ws, sphere))
+        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
+        ks, obs = _draw_trials(ch, cb, cfg.trials, rng)
+        (full, narrowed), ws = _receivers(cb, ch, ("mwd", sphere))
+        misses, losses, list_sum = _sphere_counts(ks, obs, full, narrowed)
         out[snr] = {
-            "misses": int(np.count_nonzero(~in_list)),
-            "losses": int(np.count_nonzero((mwd_winners == ks) & (osd_winners != ks))),
-            "list_sum": int(lens.sum()),
-            "evals": int(lens.sum()),
-            "bound": float(min(1.0, max(0.0, bound))),
+            "misses": misses,
+            "losses": losses,
+            "list_sum": list_sum,
+            "bound": _clamped_bound(cb, ws, sphere),
         }
     return out
 
 
-def _tradeoff_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
-    rng, h_entries, cb = _channel_setup(cfg, channel_index)
+def _bound_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
+    _, h_entries, cb = _channel_setup(cfg, channel_index)
+    sphere = SphereConfig(cfg.n_sub, cfg.list_size)
     out = {}
     for snr in cfg.snr_db:
-        sigma_sq = snr_db_to_sigma_sq(snr)
-        ch = RealChannel(h_entries, sigma_sq)
-        ks, obs = _draw_observations(cfg, rng, ch.entries, cb, sigma_sq)
-        obs_f = obs.astype(np.float64)
-        base, coef = loglik_affine(cb, ch)
-        mld_winners = np.argmax(base[None, :] + obs_f @ coef.T, axis=1)
-        ws = compute_weights_approx(ch, cb.symbols)
-        dbase, dcoef = distance_affine(cb, ws)
-        dists = dbase[None, :] - obs_f @ dcoef.T
-        per_l = {}
-        for lsz in cfg.list_sizes:
-            winners, lens, _ = _osd_batch(cb, ws, SphereConfig(cfg.n_sub, lsz), obs_f, dists)
-            per_l[lsz] = {
-                "errors": int(np.count_nonzero(winners != ks)),
-                "list_sum": int(lens.sum()),
-            }
-        out[snr] = {"mld_errors": int(np.count_nonzero(mld_winners != ks)), "per_l": per_l}
+        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
+        out[snr] = {"bound": _clamped_bound(cb, compute_weights_approx(ch, cb.symbols), sphere)}
     return out
 
 
@@ -344,27 +304,33 @@ def _map_channels(worker, cfg: ExperimentConfig):
         return list(pool.map(partial(worker, cfg), range(cfg.channels)))
 
 
+def _sum_cells(partials, key) -> tuple[int, int]:
+    """Channel totals of a (errors, list_sum) cell of :func:`_detect_channel`."""
+    return tuple(sum(cell) for cell in zip(*(p[key] for p in partials)))
+
+
 def run_ser_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Paired symbol-error-rate sweep; one record per (detector, SNR)."""
     validate_ser_config(cfg)
-    t0 = time.perf_counter_ns()
-    partials = _map_channels(_ser_channel, cfg)
-    wall = time.perf_counter_ns() - t0
+    dets = [SphereConfig(cfg.n_sub, cfg.list_size) if d == "osd" else d for d in cfg.detectors]
+    partials = _map_channels(partial(_detect_channel, dets), cfg)
     n = cfg.trials * cfg.channels
     records = []
-    for det in cfg.detectors:
+    for i, det in enumerate(cfg.detectors):
         for snr in cfg.snr_db:
-            cells = [p[(det, snr)] for p in partials]
-            errors = sum(c["errors"] for c in cells)
-            list_sum = sum(c["list_sum"] for c in cells)
-            evals = sum(c["evals"] for c in cells)
+            errors, list_sum = _sum_cells(partials, (i, snr))
             records.append(
                 ExperimentRecord(
                     det, float(snr), cfg.channels, cfg.trials, errors, errors / n,
-                    list_sum / n, evals, cfg.seed, wall,
+                    list_sum / n, list_sum, cfg.seed,
                 )
             )
     return records
+
+
+def _bound_record(cfg: ExperimentConfig, snr, cells) -> ExperimentRecord:
+    mean_bound = sum(c["bound"] for c in cells) / cfg.channels
+    return ExperimentRecord("bound", float(snr), cfg.channels, 0, 0, mean_bound, 0.0, 0, cfg.seed)
 
 
 def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -376,9 +342,7 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     clamped to [0, 1]).
     """
     validate_sep_config(cfg)
-    t0 = time.perf_counter_ns()
     partials = _map_channels(_sep_channel, cfg)
-    wall = time.perf_counter_ns() - t0
     n = cfg.trials * cfg.channels
     records = []
     for snr in cfg.snr_db:
@@ -386,22 +350,25 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         misses = sum(c["misses"] for c in cells)
         losses = sum(c["losses"] for c in cells)
         list_sum = sum(c["list_sum"] for c in cells)
-        evals = sum(c["evals"] for c in cells)
-        mean_bound = sum(c["bound"] for c in cells) / cfg.channels
         mean_len = list_sum / n
         records.append(
             ExperimentRecord("sep", float(snr), cfg.channels, cfg.trials, misses,
-                             misses / n, mean_len, evals, cfg.seed, wall)
+                             misses / n, mean_len, list_sum, cfg.seed)
         )
         records.append(
             ExperimentRecord("p_loss", float(snr), cfg.channels, cfg.trials, losses,
-                             losses / n, mean_len, evals, cfg.seed, wall)
+                             losses / n, mean_len, list_sum, cfg.seed)
         )
-        records.append(
-            ExperimentRecord("bound", float(snr), cfg.channels, 0, 0,
-                             mean_bound, 0.0, 0, cfg.seed, wall)
-        )
+        records.append(_bound_record(cfg, snr, cells))
     return records
+
+
+def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
+    """Channel-averaged analytic list-miss bound alone (no simulation);
+    one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
+    validate_sep_config(cfg)
+    partials = _map_channels(_bound_channel, cfg)
+    return [_bound_record(cfg, snr, [p[snr] for p in partials]) for snr in cfg.snr_db]
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -414,9 +381,8 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     (JSON output only; the CSV keeps the fixed column set).
     """
     validate_tradeoff_config(cfg)
-    t0 = time.perf_counter_ns()
-    partials = _map_channels(_tradeoff_channel, cfg)
-    wall = time.perf_counter_ns() - t0
+    dets = ["mld", *(SphereConfig(cfg.n_sub, lsz) for lsz in cfg.list_sizes)]
+    partials = _map_channels(partial(_detect_channel, dets), cfg)
     n = cfg.trials * cfg.channels
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     _, mld_mults = complexity_model(
@@ -424,14 +390,13 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     )
     records = []
     for snr in cfg.snr_db:
-        mld_errors = sum(p[snr]["mld_errors"] for p in partials)
+        mld_errors, mld_sum = _sum_cells(partials, (0, snr))
         records.append(
             ExperimentRecord("mld", float(snr), cfg.channels, cfg.trials, mld_errors,
-                             mld_errors / n, float(k_total), n * k_total, cfg.seed, wall)
+                             mld_errors / n, mld_sum / n, mld_sum, cfg.seed)
         )
-        for lsz in cfg.list_sizes:
-            errors = sum(p[snr]["per_l"][lsz]["errors"] for p in partials)
-            list_sum = sum(p[snr]["per_l"][lsz]["list_sum"] for p in partials)
+        for i, lsz in enumerate(cfg.list_sizes, start=1):
+            errors, list_sum = _sum_cells(partials, (i, snr))
             pre, det = complexity_model(
                 ComplexityQuery("osd", cfg.users, cfg.antennas, k_total, cfg.time_slots,
                                 n_sub=cfg.n_sub, list_size=lsz)
@@ -439,7 +404,7 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             records.append(
                 ExperimentRecord(
                     f"osd-l{lsz}", float(snr), cfg.channels, cfg.trials, errors,
-                    errors / n, list_sum / n, list_sum, cfg.seed, wall,
+                    errors / n, list_sum / n, list_sum, cfg.seed,
                     rel_ser=(mld_errors / errors) if errors else None,
                     rel_complexity=(pre + det) / mld_mults,
                 )

@@ -20,6 +20,7 @@ from obdk import (
     ComplexityQuery,
     ExperimentConfig,
     RealChannel,
+    Receiver,
     SphereConfig,
     assemble_list,
     build_codebook,
@@ -40,7 +41,6 @@ from obdk import (
 )
 from obdk.cli import cli_main
 from obdk.detectors import distance_affine, loglik_affine
-from obdk.experiments import _osd_batch
 from obdk.weights import q_hat
 from conftest import EXAMPLE_CODEWORDS, example_system
 
@@ -271,8 +271,10 @@ def test_criterion_10_narrowed_search_never_contradicts_full_search():
             base, coef = distance_affine(cb, ws)
             dists = base[None, :] - obs @ coef.T
             mwd = np.argmin(dists, axis=1)
-            osd, _, members = _osd_batch(cb, ws, sphere_cfg, obs, dists)
-            listed = members[np.arange(trials_per_channel), mwd]
+            narrowed = Receiver(base, coef, build_sphere_table(cb, ws, sphere_cfg))
+            cand = narrowed.candidates(obs)
+            osd, _, _ = narrowed.detect(obs, cand)
+            listed = np.any(cand == mwd[:, None], axis=1)
             violations += int(np.count_nonzero(listed & (osd != mwd)))
             total += trials_per_channel
         assert total >= 100_000

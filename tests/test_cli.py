@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 from obdk import read_sphere_table
 from obdk.cli import cli_main
@@ -33,6 +36,9 @@ class TestComplexityCommand:
         )
         assert code == 1
         assert "n_sub" in err
+
+
+FEW = ["--trials", "10", "--channels", "1"]
 
 
 class TestUsageErrors:
@@ -72,11 +78,35 @@ class TestUsageErrors:
         assert code == 0
         assert "ser" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["ser", "-U", "2", "-N", "8", "--detectors", "osd", "--ns", "3", "--list-size", "2", *FEW],
+        ["ser", "-U", "1", "-N", "2", "--mod", "bpsk", "--detectors", "osd", "--ns", "2",
+         "--list-size", "2", *FEW],
+        ["sep", "-U", "2", "-N", "8", "--ns", "0", "--list-size", "2", *FEW],
+        ["tradeoff", "-U", "2", "-N", "8", "--ns", "8", "--list-sizes", "16", *FEW],
+        ["bound", "-U", "2", "-N", "8", "--ns", "32", "--list-size", "2", *FEW],
+        ["ser", "-U", "2", "-N", "8", "--detectors", "osd", "--ns", "8", "--list-size", "0", *FEW],
+        ["table-build", "-U", "2", "-N", "8", "--snr-db", "5", "--ns", "16", "--list-size", "16",
+         "--out", os.devnull],
+        ["llr", "-U", "2", "-N", "4", "--snr-db", "5", "--ns", "3", "--list-size", "2",
+         "--y", "1,1,1,1,1,1,1,1"],
+    ])
+    def test_invalid_sphere_parameters(self, capsys, argv):
+        # Sub-vector dimension outside [1, 20] or not dividing 2N, or a
+        # list size outside [1, K), is a usage error caught before any work.
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        assert "--ns" in err or "list size" in err
+
 
 SMALL_SER = [
     "ser", "-U", "2", "-N", "4", "--mod", "qam4", "--snr-db", "0,6",
     "--detectors", "mld,mwd,osd", "--ns", "4", "--list-size", "2",
     "--trials", "200", "--channels", "3", "--seed", "7",
+]
+SMALL_BOUND = [
+    "bound", "-U", "2", "-N", "4", "--snr-db", "0,5", "--ns", "4", "--list-size", "2",
+    "--channels", "3", "--seed", "7",
 ]
 
 
@@ -89,11 +119,12 @@ class TestSerCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_flag_does_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli_main(SMALL_SER + ["--out", str(a), "--workers", "1"]) == 0
-        assert cli_main(SMALL_SER + ["--out", str(b), "--workers", "2"]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+        for argv in (SMALL_SER, SMALL_BOUND):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert cli_main(argv + ["--out", str(a), "--workers", "1"]) == 0
+            assert cli_main(argv + ["--out", str(b), "--workers", "2"]) == 0
+            capsys.readouterr()
+            assert a.read_bytes() == b.read_bytes()
 
     def test_env_override_controls_workers(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

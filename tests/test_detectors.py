@@ -2,12 +2,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
 
 from obdk import (
     Codebook,
     RealChannel,
+    Receiver,
     SphereConfig,
     SymbolTable,
     TapSet,
@@ -34,6 +37,7 @@ from obdk import (
     weighted_hamming,
     write_sphere_table,
 )
+from obdk.detectors import _mismatch_affine, distance_affine, loglik_affine
 from conftest import example_system, random_system
 
 
@@ -115,8 +119,6 @@ class TestDetectMwd:
                     assert detect_mwd(y, cb, ws).index == detect_mld(y, cb, ch).index
 
     def test_approx_agrees_with_exact_on_noisy_data(self):
-        from obdk.detectors import distance_affine
-
         ch, table, cb = random_system(2, 8, "qam4", 10 ** (-0.5), seed=7)
         we = compute_weights_exact(ch, table)
         wa = compute_weights_approx(ch, table)
@@ -406,3 +408,80 @@ class TestSphereTableSerialization:
         for _ in range(20):
             y = quantize_sign(rng.standard_normal(8))
             assert_array_equal(assemble_list(y, sphere), assemble_list(y, again))
+
+
+# (scheme, users, antennas): K from 4 to 256, 2N from 4 to 8.
+SMALL_SYSTEMS = [("bpsk", 2, 2), ("qam4", 1, 2), ("qam4", 2, 3), ("qam4", 2, 4), ("qam16", 2, 2)]
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sphere_systems(draw):
+    scheme, users, antennas = draw(st.sampled_from(SMALL_SYSTEMS))
+    sigma_sq = draw(st.floats(0.05, 4.0))
+    ch, table, cb = random_system(users, antennas, scheme, sigma_sq, seed=draw(st.integers(0, 2**31)))
+    two_n = 2 * antennas
+    n_sub = draw(st.sampled_from([d for d in range(1, two_n + 1) if two_n % d == 0]))
+    return ch, cb, SphereConfig(n_sub, draw(st.integers(1, cb.size - 1)))
+
+
+def _receivers_and_detectors(ch, cb, cfg):
+    """(batch receiver, its single-observation detector, score sign) per detector."""
+    ws = compute_weights_approx(ch, cb.symbols)
+    exact = compute_weights_exact(ch, cb.symbols)
+    table = build_sphere_table(cb, ws, cfg)
+    lb, lc = loglik_affine(cb, ch)
+    return [
+        (Receiver(-lb, lc), lambda y: detect_mld(y, cb, ch), -1.0),
+        (Receiver(*distance_affine(cb, exact)), lambda y: detect_mwd(y, cb, exact), 1.0),
+        (Receiver(*distance_affine(cb, ws)), lambda y: detect_mwd(y, cb, ws), 1.0),
+        (Receiver(*_mismatch_affine(cb, ws)), lambda y: detect_mwd_high_snr(y, cb, ws), 1.0),
+        (Receiver(*distance_affine(cb, ws), table), lambda y: detect_osd(y, table, cb, ws), 1.0),
+    ], table
+
+
+class TestReceiverProperties:
+    """One prepared receiver decides a whole batch exactly as the public
+    single-observation detectors decide each observation."""
+
+    @PROPERTY_SETTINGS
+    @given(system=sphere_systems())
+    def test_batch_equals_single_observation(self, system):
+        ch, cb, cfg = system
+        obs = _all_observations(cb.n_outputs)
+        prepared, table = _receivers_and_detectors(ch, cb, cfg)
+        for rx, detect_one, sign in prepared:
+            index, score, lens = rx.detect(obs)
+            # Cancellation to zero (a codeword met exactly under the
+            # high-SNR rule) leaves only absolute error.
+            atol = 1e-12 * float(np.max(np.abs(rx.base)))
+            for t, y in enumerate(obs):
+                single = detect_one(y)
+                assert single.index == index[t]
+                assert single.list_len == lens[t]
+                assert_allclose(single.distance, sign * score[t], rtol=1e-12, atol=atol)
+        # The sphere receiver (listed last) searches the assembled list.
+        index, _, lens = prepared[-1][0].detect(obs)
+        for t, y in enumerate(obs):
+            listed = assemble_list(y, table)
+            assert lens[t] == len(listed)
+            assert index[t] in listed
+
+    @PROPERTY_SETTINGS
+    @given(system=sphere_systems(), data=st.data())
+    def test_duplicated_codewords_resolve_to_smallest_index(self, system, data):
+        ch, cb, cfg = system
+        # Every codeword appears twice, at shuffled positions, so every
+        # score ties exactly with its twin's.
+        rows = np.array(data.draw(st.permutations(list(range(cb.size)) * 2)))
+        twin_cb = Codebook(cb.codewords[rows],
+                           SymbolTable(cb.symbols.vectors[rows], cb.symbols.constellation,
+                                       cb.symbols.users))
+        first = {int(r): int(np.flatnonzero(rows == r)[0]) for r in rows}
+        obs = _all_observations(cb.n_outputs)
+        prepared, _ = _receivers_and_detectors(ch, twin_cb, cfg)
+        for rx, detect_one, _ in prepared:
+            index, _, _ = rx.detect(obs)
+            assert all(first[rows[k]] == k for k in index)
+            for t, y in enumerate(obs):
+                assert detect_one(y).index == index[t]
