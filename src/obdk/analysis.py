@@ -2,12 +2,15 @@
 and soft outputs.
 
 The sphere decoder can only lose to the full-search rule when the true
-codeword index misses the assembled list. ``sep_bound`` evaluates a
-closed-form approximate upper bound on that miss probability for a fixed
-channel; ``sep_empirical`` measures it (and the actual loss rate) by
-simulation. ``complexity_model`` counts real multiplications for the
-three detector families, and ``compute_llrs`` produces per-bit soft
-outputs from the candidate list for 4-QAM.
+codeword index misses the assembled list, so the list-miss probability
+bounds that loss. ``sep_bound`` computes it for a fixed channel from the
+sphere table: with exact weights the value is the decoder's exact
+list-miss probability; approximate weights make it approximate and can
+push it above 1 (the experiments clamp it to [0, 1]). ``sep_empirical``
+measures the miss rate (and the actual loss rate) by simulation.
+``complexity_model`` counts real multiplications for the three detector
+families, and ``compute_llrs`` produces per-bit soft outputs from the
+candidate list for 4-QAM.
 """
 
 from __future__ import annotations
@@ -15,88 +18,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import RealChannel, quantize_sign
 from .codebook import Codebook
-from .detectors import Receiver, SphereConfig, SphereTable, _pattern_matrix, distance_affine
+from .detectors import (
+    Receiver,
+    SphereConfig,
+    SphereTable,
+    _sub_scores,
+    build_sphere_table,
+    distance_affine,
+)
 from .weights import WeightSet
 
 
 @dataclass(frozen=True)
 class SepBoundInputs:
-    """Precomputed cross-codeword terms of the list-miss bound.
-
-    For each group g, ``cross_dist[g][k, j]`` is the weighted Hamming
-    distance between sub-codewords k and j measured with j's weights,
-    and ``delta[g][k, j, i]`` is the flip sensitivity
-    (w_j - wt_j) c_k c_j - (w_k - wt_k) at sub-position i. Together they
-    give the distance of any flipped version of codeword k to codeword j
-    as cross_dist + e . delta for a 0/1 flip pattern e.
-    """
+    """What the list-miss bound reads: a codebook, its weights and the
+    sphere table built from them."""
 
     codebook: Codebook
     weights: WeightSet
-    config: SphereConfig
-    cross_dist: tuple
-    delta: tuple
+    table: SphereTable
 
     @classmethod
     def build(cls, codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> "SepBoundInputs":
-        k_total = codebook.size
-        if cfg.list_size > k_total - 1:
-            raise ValueError("list size must leave at least one competing codeword")
-        g_count = cfg.group_count(codebook.n_outputs)
-        cross, delta = [], []
-        for g in range(g_count):
-            cols = slice(g * cfg.n_sub, (g + 1) * cfg.n_sub)
-            c = codebook.codewords[:, cols].astype(np.float64)
-            w = ws.w[:, cols]
-            wt = ws.w_tilde[:, cols]
-            diff = w - wt
-            agreement = c[:, None, :] * c[None, :, :]          # (K, K, n_sub)
-            mismatch = 0.5 * (1.0 - agreement)
-            d = wt.sum(axis=1)[None, :] + np.einsum("ji,kji->kj", diff, mismatch)
-            dl = diff[None, :, :] * agreement - diff[:, None, :]
-            cross.append(d)
-            delta.append(dl)
-        return cls(codebook, ws, cfg, tuple(cross), tuple(delta))
+        return cls(codebook, ws, build_sphere_table(codebook, ws, cfg))
 
 
 def sep_bound(inputs: SepBoundInputs) -> float:
-    """Approximate upper bound on the probability that the transmitted
-    index misses the assembled list, for a fixed channel.
+    """Probability that the transmitted index misses the assembled list,
+    for a fixed channel; the sphere decoder can only lose to the full
+    search on such a miss, so it also bounds that loss.
 
-    Averages over codewords k the product over groups of the summed
-    flip-pattern probabilities exp(-e.w - (1-e).wt), where a pattern e
-    contributes only if the L-th smallest flipped distance to the
-    competitors is still within the all-match distance of codeword k.
-    Group sums are accumulated in log space.
+    The mean over codewords k of the product over groups g of
+    sum_{p : k not in table[g, p]} exp(-d_k^g(p)), where d_k^g(p) is the
+    weighted distance of pattern p to k's g-th sub-codeword. With exact
+    weights exp(-d_k^g(p)) is the probability that k's g-th sub-vector
+    is received as p, so the value is the decoder's exact list-miss
+    probability, ties included. Approximate weights make it approximate,
+    and can push it above 1.
     """
-    cfg = inputs.config
-    ws = inputs.weights
-    k_total = inputs.codebook.size
-    flips = 0.5 * (1.0 - _pattern_matrix(cfg.n_sub).astype(np.float64))  # (P, n_sub) in {0,1}
-    total = 0.0
-    for k in range(k_total):
-        log_groups = 0.0
-        for g in range(len(inputs.cross_dist)):
-            cols = slice(g * cfg.n_sub, (g + 1) * cfg.n_sub)
-            w = ws.w[k, cols]
-            wt = ws.w_tilde[k, cols]
-            others = np.arange(k_total) != k
-            d = inputs.cross_dist[g][k, others]                 # (K-1,)
-            dl = inputs.delta[g][k, others]                     # (K-1, n_sub)
-            shifted = d[None, :] + flips @ dl.T                 # (P, K-1)
-            d_min = np.partition(shifted, cfg.list_size - 1, axis=1)[:, cfg.list_size - 1]
-            included = d_min <= wt.sum()
-            if not np.any(included):
-                log_groups = -np.inf
-                break
-            log_terms = -(flips @ w) - ((1.0 - flips) @ wt)
-            log_groups += float(logsumexp(log_terms[included]))
-        total += float(np.exp(log_groups))
-    return total / k_total
+    table = inputs.table
+    unlisted = np.zeros((table.group_count, table.codebook_size))
+    for g, rows, d in _sub_scores(inputs.codebook, inputs.weights, table.n_sub):
+        mass = np.exp(-d)
+        np.put_along_axis(mass, table.indices[g, rows], 0.0, axis=1)
+        unlisted[g] += mass.sum(axis=0)
+    return float(unlisted.prod(axis=0).mean())
 
 
 def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator):

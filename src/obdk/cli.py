@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -241,10 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_lists(argv) -> list:
+    """Rewrite ``--snr-db -5,0`` as ``--snr-db=-5,0`` (likewise ``--y``):
+    argparse reads a value that starts with a minus sign and is not a
+    plain number as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--snr-db", "--y") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code) if exc.code else 0
     try:

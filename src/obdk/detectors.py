@@ -119,13 +119,6 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def _pattern_matrix(n: int) -> np.ndarray:
-    """All 2^n sign patterns, row p = pattern_signs(p, n)."""
-    p = np.arange(1 << n, dtype=np.int64)
-    bits = (p[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
 def distance_affine(codebook: Codebook, ws: WeightSet, columns=None):
     """Affine form of the weighted Hamming distance, d_k(y) = base - coef @ y.
 
@@ -246,6 +239,23 @@ def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult
     return _detect_one(Receiver(*_mismatch_affine(codebook, ws)), y)
 
 
+def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
+    """Sub-codeword scores d_k^g(p) of every sub-vector pattern p.
+
+    Yields blocks (g, pattern slice, (patterns, K) scores) of at most
+    2^22 scores each, group by group and patterns in ascending order; row
+    p of a block scores the signs :func:`pattern_signs` (p, n_sub).
+    """
+    n_patterns = 1 << n_sub
+    chunk = max(1, (1 << 22) // codebook.size)
+    for g in range(codebook.n_outputs // n_sub):
+        base, coef = distance_affine(codebook, ws, columns=slice(g * n_sub, (g + 1) * n_sub))
+        for start in range(0, n_patterns, chunk):
+            rows = slice(start, min(start + chunk, n_patterns))
+            bits = (np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1
+            yield g, rows, base[None, :] - (1.0 - 2.0 * bits) @ coef.T
+
+
 def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> SphereTable:
     """Rank every sub-codeword against every sub-vector pattern.
 
@@ -254,26 +264,15 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     distance to the pattern, ascending, ties by index. Runs once per
     channel coherence block; detection then only looks lists up.
     """
-    two_n = codebook.n_outputs
     k_total = codebook.size
-    g_count = cfg.group_count(two_n)
+    g_count = cfg.group_count(codebook.n_outputs)
     if cfg.list_size >= k_total:
         raise ValueError(
             f"list size {cfg.list_size} must be smaller than the codebook size {k_total}"
         )
-    n_patterns = 1 << cfg.n_sub
-    patterns = _pattern_matrix(cfg.n_sub).astype(np.float64)
-    table = np.empty((g_count, n_patterns, cfg.list_size), dtype=np.uint32)
-    # Bound the (patterns x codewords) score block per chunk.
-    chunk = max(1, (1 << 22) // k_total)
-    for g in range(g_count):
-        cols = slice(g * cfg.n_sub, (g + 1) * cfg.n_sub)
-        base, coef = distance_affine(codebook, ws, columns=cols)
-        for start in range(0, n_patterns, chunk):
-            block = patterns[start:start + chunk]
-            d = base[None, :] - block @ coef.T
-            order = np.argsort(d, axis=1, kind="stable")
-            table[g, start:start + len(block)] = order[:, :cfg.list_size]
+    table = np.empty((g_count, 1 << cfg.n_sub, cfg.list_size), dtype=np.uint32)
+    for g, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
+        table[g, rows] = np.argsort(d, axis=1, kind="stable")[:, :cfg.list_size]
     return SphereTable(table, cfg.n_sub, cfg.list_size, k_total)
 
 

@@ -247,8 +247,8 @@ def _receivers(cb, ch: RealChannel, detectors):
     return receivers, ws
 
 
-def _clamped_bound(cb, ws, sphere: SphereConfig) -> float:
-    return float(min(1.0, max(0.0, sep_bound(SepBoundInputs.build(cb, ws, sphere)))))
+def _clamped_bound(inputs: SepBoundInputs) -> float:
+    return float(min(1.0, max(0.0, sep_bound(inputs))))
 
 
 def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dict:
@@ -279,7 +279,7 @@ def _sep_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
             "misses": misses,
             "losses": losses,
             "list_sum": list_sum,
-            "bound": _clamped_bound(cb, ws, sphere),
+            "bound": _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)),
         }
     return out
 
@@ -290,7 +290,8 @@ def _bound_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
     out = {}
     for snr in cfg.snr_db:
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        out[snr] = {"bound": _clamped_bound(cb, compute_weights_approx(ch, cb.symbols), sphere)}
+        ws = compute_weights_approx(ch, cb.symbols)
+        out[snr] = {"bound": _clamped_bound(SepBoundInputs.build(cb, ws, sphere))}
     return out
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,8 +7,10 @@ from numpy.testing import assert_allclose
 
 from obdk import (
     ComplexityQuery,
+    Receiver,
     SepBoundInputs,
     SphereConfig,
+    WeightSet,
     build_sphere_table,
     complexity_model,
     compute_llrs,
@@ -18,11 +21,17 @@ from obdk import (
     stream_rng,
     weighted_hamming,
 )
+from obdk.detectors import distance_affine
 from conftest import random_system
 
 
 def _brute_force_bound(cb, ws, n_sub, list_size):
-    """Literal re-implementation of the list-miss bound with plain loops."""
+    """Literal re-implementation of the list-miss bound with plain loops.
+
+    Its ``<=`` counts a competitor tied with k as ranking ahead of k even
+    when the competitor has the larger index, so it agrees with the library
+    except on exact ties, where the table lists the smaller index first.
+    """
     k_total, two_n = cb.codewords.shape
     g_count = two_n // n_sub
     total = 0.0
@@ -65,7 +74,64 @@ def _brute_force_bound(cb, ws, n_sub, list_size):
     return total / k_total
 
 
+def _unlisted_mass(cb, ws, table):
+    """mean_k sum_y exp(-d_k(y)) [k not among the candidates of y], over
+    all 2^(2N) observations y."""
+    obs = 1.0 - 2.0 * np.array(list(product((0, 1), repeat=cb.n_outputs)))
+    base, coef = distance_affine(cb, ws)
+    mass = np.exp(-(base[None, :] - obs @ coef.T))
+    cand = Receiver(base, coef, table).candidates(obs)
+    listed = np.any(cand[:, :, None] == np.arange(cb.size), axis=1)
+    return float(np.where(listed, 0.0, mass).sum(axis=0).mean())
+
+
+def _constant_weights(cb, flip):
+    shape = cb.codewords.shape
+    return WeightSet("approx", np.full(shape, -np.log(flip)), np.full(shape, -np.log(1 - flip)), 1.0)
+
+
+# Exact weights; then constant weights (flip probability 0.2) on a K=16
+# codebook with 2N=4, where duplicate sub-codewords make exact ties that
+# the table breaks towards the smaller index.
+BOUND_CASES = {
+    "exact-u1n2-ns2-l1": ((1, 2, "qam4", 0.5, 60), "exact", 2, 1, None),
+    "exact-u2n2-ns2-l3": ((2, 2, "qam4", 1.0, 61), "exact", 2, 3, None),
+    "exact-u2n4-ns4-l2": ((2, 4, "qam4", 0.3, 62), "exact", 4, 2, None),
+    "exact-u2n4-ns8-l5": ((2, 4, "qam4", 1.0, 63), "exact", 8, 5, None),
+    "exact-u1n4-qam16-ns2-l2": ((1, 4, "qam16", 0.2, 64), "exact", 2, 2, None),
+    "exact-u2n4-bpsk-ns4-l1": ((2, 4, "bpsk", 0.5, 65), "exact", 4, 1, None),
+    "ties-ns2-l1": ((2, 2, "qam4", 1.0, 3), "constant", 2, 1, 0.7312),
+    "ties-ns2-l3": ((2, 2, "qam4", 1.0, 3), "constant", 2, 3, 0.3712),
+    "ties-ns4-l2": ((2, 2, "qam4", 1.0, 3), "constant", 4, 2, 0.4880),
+}
+
+
 class TestSepBound:
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES))
+    def test_equals_unlisted_probability_mass(self, case):
+        # The bound is the mass of the observations whose candidate list
+        # misses the transmitted index, ties resolved as the decoder does.
+        system, flavor, n_sub, lsz, exact = BOUND_CASES[case]
+        ch, table, cb = random_system(*system)
+        ws = compute_weights_exact(ch, table) if flavor == "exact" else _constant_weights(cb, 0.2)
+        inputs = SepBoundInputs.build(cb, ws, SphereConfig(n_sub, lsz))
+        got = sep_bound(inputs)
+        assert_allclose(got, _unlisted_mass(cb, ws, inputs.table), rtol=1e-12)
+        if exact is not None:
+            assert_allclose(got, exact, rtol=1e-12)
+
+    def test_memory_does_not_grow_as_k_squared(self):
+        ch, table, cb = random_system(5, 16, "qam4", 1.0, seed=57)
+        ws = compute_weights_approx(ch, table)
+        assert cb.size == 1024
+        tracemalloc.start()
+        try:
+            sep_bound(SepBoundInputs.build(cb, ws, SphereConfig(8, 4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_matches_brute_force(self):
         ch, table, cb = random_system(1, 2, "qam4", 0.5, seed=40)
         ws = compute_weights_approx(ch, table)

@@ -99,6 +99,20 @@ class TestUsageErrors:
         assert "--ns" in err or "list size" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ser", "-U", "1", "-N", "1", "--snr-db", "-5,0", "--trials", "1", "--channels", "1"],
+    ["llr", "-U", "1", "-N", "2", "--snr-db", "5", "--ns", "2", "--list-size", "1",
+     "--y", "-1,1,1,-1"],
+])
+def test_list_value_with_leading_minus(capsys, argv):
+    # argparse takes "-5,0" for an option; the value must still reach its flag.
+    opt = argv.index("--snr-db" if argv[0] == "ser" else "--y")
+    joined = argv[:opt] + [argv[opt] + "=" + argv[opt + 1]] + argv[opt + 2:]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert _run(capsys, joined) == (0, out, "")
+
+
 SMALL_SER = [
     "ser", "-U", "2", "-N", "4", "--mod", "qam4", "--snr-db", "0,6",
     "--detectors", "mld,mwd,osd", "--ns", "4", "--list-size", "2",

@@ -5,8 +5,11 @@ prepared ``Receiver``. A refactor must leave them unchanged; regenerate a
 file only for a change that is meant to alter results, by running
 ``python -m obdk.cli <argv> --out tests/data/<name>`` with the argv below.
 Results files compare byte for byte, except the ``bound`` rates of ``sep``
-and ``bound`` runs: they pass through ``exp`` and ``logsumexp``, so they
-are compared to 1e-12 relative and every other field exactly.
+and ``bound`` runs: they are sums of ``exp`` terms whose order follows the
+scoring blocks, so they are compared to 1e-12 relative and every other
+field exactly. ``bound_chunked.csv`` was written before the bound moved
+onto the sphere table; its one group of 65536 patterns x 256 codewords is
+scored in four blocks.
 """
 
 from pathlib import Path
@@ -30,7 +33,10 @@ GOLDEN = {
                 "--trials", "1000", "--channels", "10", "--seed", "7"],
     "bound.csv": ["bound", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--ns", "8",
                   "--list-size", "4", "--channels", "10"],
+    "bound_chunked.csv": ["bound", "-U", "2", "-N", "8", "--mod", "qam16", "--snr-db", "5",
+                          "--ns", "16", "--list-size", "4", "--channels", "1"],
 }
+BOUND_RATES = ("sep.csv", "bound.csv", "bound_chunked.csv")
 
 
 def _rows(text: str):
@@ -43,7 +49,7 @@ def test_output_matches_committed_file(name, tmp_path, capsys):
     assert cli_main(GOLDEN[name] + ["--out", str(out)]) == 0
     capsys.readouterr()
     want = (DATA / name).read_bytes()
-    if name not in ("sep.csv", "bound.csv"):
+    if name not in BOUND_RATES:
         assert out.read_bytes() == want
         return
     got_rows, want_rows = _rows(out.read_text()), _rows(want.decode())
