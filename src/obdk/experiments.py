@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -226,11 +226,18 @@ def single_block(cfg: ExperimentConfig, snr_db: float):
 def _receivers(cb, ch: RealChannel, detectors):
     """Prepared receivers of one block, one per entry of ``detectors``: a
     full-search detector name, or a SphereConfig for the sphere decoder.
-    Also returns the approximate weights (None if no entry needs them)."""
+    Also returns the approximate weights (None if no entry needs them).
+
+    Sphere entries share one n_sub, so one table at the longest list
+    serves them all: a shorter list is a prefix of a longer one, both
+    being the head of one (score, index) order."""
     ws = approx = None
     if any(d not in ("mld", "mwd-exact") for d in detectors):
         ws = compute_weights_approx(ch, cb.symbols)
         approx = distance_affine(cb, ws)
+    spheres = [d for d in detectors if isinstance(d, SphereConfig)]
+    if spheres:
+        longest = build_sphere_table(cb, ws, max(spheres, key=lambda c: c.list_size))
     receivers = []
     for det in detectors:
         if det == "mld":
@@ -243,7 +250,9 @@ def _receivers(cb, ch: RealChannel, detectors):
         elif det == "mwd-hs":
             receivers.append(Receiver(*_mismatch_affine(cb, ws)))
         else:
-            receivers.append(Receiver(*approx, build_sphere_table(cb, ws, det)))
+            head = np.ascontiguousarray(longest.indices[..., :det.list_size])
+            receivers.append(Receiver(*approx, replace(longest, indices=head,
+                                                       list_size=det.list_size)))
     return receivers, ws
 
 

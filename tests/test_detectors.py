@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -37,7 +38,7 @@ from obdk import (
     weighted_hamming,
     write_sphere_table,
 )
-from obdk.detectors import _mismatch_affine, distance_affine, loglik_affine
+from obdk.detectors import BLOCK_VALUES, _mismatch_affine, _nearest, distance_affine, loglik_affine
 from conftest import example_system, random_system
 
 
@@ -248,6 +249,24 @@ class TestBuildSphereTable:
         ws = WeightSet("approx", np.full((2, 2), 2.0), np.full((2, 2), 0.1), 1.0)
         sphere = build_sphere_table(cb, ws, SphereConfig(2, 1))
         assert np.all(sphere.indices[0, :, 0] == 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_ranking_equals_stable_argsort(self, data):
+        rows, k = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 12))
+        values = data.draw(st.sampled_from([
+            st.integers(-2, 2).map(float),  # heavy ties
+            st.sampled_from([0.0, -0.0, 1.0]),  # -0.0 and 0.0 compare equal
+            st.floats(-1e3, 1e3),
+        ]))
+        d = np.array(data.draw(st.lists(values, min_size=rows * k, max_size=rows * k)))
+        d = d.reshape(rows, k)
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                                     st.integers(0, k - 1)), max_size=3)):
+            d[:, dst] = d[:, src]
+        order = np.argsort(d, axis=1, kind="stable")
+        for lsz in range(1, k):
+            assert_array_equal(_nearest(d.copy(), lsz), order[:, :lsz])
 
 
 class TestAssembleList:
@@ -485,3 +504,37 @@ class TestReceiverProperties:
             assert all(first[rows[k]] == k for k in index)
             for t, y in enumerate(obs):
                 assert detect_one(y).index == index[t]
+
+    def test_row_blocks_match_single_rows(self):
+        # K = 4096: full search scores 1024 rows per block, the ns 1 / L 4
+        # sphere search (G * L * 2N = 16384 gathered values a row) 256.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        base, coef = distance_affine(cb, ws)
+        sphere = build_sphere_table(cb, ws, SphereConfig(1, 4))
+        gathered = sphere.group_count * sphere.list_size * cb.n_outputs
+        obs = quantize_sign(stream_rng(6, 0).standard_normal((2100, cb.n_outputs)))
+        for rx, step in ((Receiver(base, coef), BLOCK_VALUES // cb.size),
+                         (Receiver(base, coef, sphere), BLOCK_VALUES // gathered)):
+            index, score, lens = rx.detect(obs)
+            assert len(index) == len(score) == len(lens) == len(obs)
+            atol = 1e-12 * float(np.max(np.abs(base)))
+            for edge in range(step, len(obs), step):
+                for t in (edge - 1, edge, edge + 1):
+                    one = rx.detect(obs[t:t + 1])
+                    assert one[0][0] == index[t] and one[2][0] == lens[t]
+                    assert_allclose(one[1][0], score[t], rtol=1e-12, atol=atol)
+
+    def test_full_search_memory_is_bounded(self):
+        # 4096 observations x K = 4096: the whole (T, K) score matrix is
+        # 128 MB, and building it in one piece needs twice that.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        rx = Receiver(*distance_affine(cb, compute_weights_approx(ch, table)))
+        obs = quantize_sign(stream_rng(7, 0).standard_normal((4096, cb.n_outputs)))
+        tracemalloc.start()
+        try:
+            rx.detect(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20

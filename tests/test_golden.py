@@ -9,7 +9,10 @@ and ``bound`` runs: they are sums of ``exp`` terms whose order follows the
 scoring blocks, so they are compared to 1e-12 relative and every other
 field exactly. ``bound_chunked.csv`` was written before the bound moved
 onto the sphere table; its one group of 65536 patterns x 256 codewords is
-scored in four blocks.
+scored in four blocks. ``table_k4096_30db.osd`` was written while the
+table was still ranked by a full stable sort; at 30 dB many sub-codewords
+score exactly alike, and 402 of its 2048 (group, pattern) lists tie at
+their 4th entry, so it pins the smallest-index tie rule at K=4096.
 """
 
 from pathlib import Path
@@ -29,6 +32,8 @@ GOLDEN = {
                       "--format", "json"],
     "table.osd": ["table-build", "-U", "2", "-N", "8", "--mod", "qam4", "--snr-db", "10",
                   "--seed", "7", "--ns", "8", "--list-size", "4"],
+    "table_k4096_30db.osd": ["table-build", "-U", "3", "-N", "32", "--mod", "qam16",
+                             "--snr-db", "30", "--seed", "7", "--ns", "8", "--list-size", "4"],
     "sep.csv": ["sep", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--ns", "4", "--list-size", "2",
                 "--trials", "1000", "--channels", "10", "--seed", "7"],
     "bound.csv": ["bound", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--ns", "8",
