@@ -182,8 +182,8 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
         raise ValueError("candidate list must not be empty")
 
     yf = np.asarray(y, dtype=np.float64)
-    base, coef = distance_affine(codebook, ws)
-    d = base[candidates] - coef[candidates] @ yf
+    base, coef = distance_affine(codebook, ws, rows=candidates)
+    d = base - coef @ yf
     saturation = float(d.max()) + codebook.n_outputs * float(ws.w.mean())
 
     classes = _symbol_class(table.vectors, user, table.users)[candidates]

@@ -123,26 +123,31 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def distance_affine(codebook: Codebook, ws: WeightSet, columns=None):
+def distance_affine(codebook: Codebook, ws: WeightSet, columns=None, rows=None):
     """Affine form of the weighted Hamming distance, d_k(y) = base - coef @ y.
 
     ``columns`` restricts the distance to a slice of observation
-    positions (used for sub-codeword scoring).
+    positions (used for sub-codeword scoring). ``rows`` (an index array)
+    builds the form of only those codewords, in that order: row j of the
+    result is row ``rows[j]`` of the full form, bit for bit, at a cost of
+    O(len(rows) * 2N) instead of O(K * 2N).
     """
-    c = codebook.codewords.astype(np.float64)
-    w, wt = ws.w, ws.w_tilde
+    c, w, wt = codebook.codewords, ws.w, ws.w_tilde
+    if rows is not None:
+        c, w, wt = c[rows], w[rows], wt[rows]
     if columns is not None:
         c, w, wt = c[:, columns], w[:, columns], wt[:, columns]
     diff = w - wt
     base = wt.sum(axis=1) + 0.5 * diff.sum(axis=1)
-    coef = 0.5 * c * diff
+    coef = np.multiply(diff, c, out=diff)  # c is +/-1 and scaling by 0.5 is exact
+    coef *= 0.5
     return base, coef
 
 
 def _mismatch_affine(codebook: Codebook, ws: WeightSet):
-    c = codebook.codewords.astype(np.float64)
     base = 0.5 * ws.w.sum(axis=1)
-    coef = 0.5 * c * ws.w
+    coef = np.multiply(ws.w, codebook.codewords)
+    coef *= 0.5
     return base, coef
 
 
@@ -171,11 +176,26 @@ class Receiver:
     values of its largest temporary: K scores per row for full search,
     the G * L * 2N gathered coefficients per row for the sphere search.
     Peak memory is then bounded whatever the batch size.
+
+    Scores closer than rounding can tell apart tie. Every affine form
+    here has sum_i |coef_ki| <= |base_k|, so one computed score errs by
+    at most (2N + 1) eps |base_k|, and the gap between two compared
+    scores by at most 2 (2N + 1) eps times the larger |base| of the
+    rows being compared: all K for full search, the listed candidates
+    of each observation for the sphere search. The tolerance is twice
+    that bound. Codewords that are not compared do not enter it, so a
+    sphere receiver and a full-search receiver built over one
+    observation's candidate rows (as :func:`detect_osd` does) apply the
+    same tolerance.
     """
 
     base: np.ndarray
     coef: np.ndarray
     table: SphereTable | None = None
+
+    def __post_init__(self):
+        if self.table is not None:
+            _check_table(self.table, len(self.base), self.coef.shape[1])
 
     def _batch(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
@@ -197,33 +217,44 @@ class Receiver:
         obs = self._batch(obs)
         if self.table is not None and cand is None:
             cand = _candidates(self.table, obs)
-        # Scores closer than rounding can tell apart tie. An exact match
-        # under the high-SNR rule scores base - coef.y = 0 only up to
-        # cancellation noise, which GEMM, GEMV and the gathered product
-        # round differently. Every affine form here has
-        # sum_i |coef_ki| <= |base_k|, so one score errs by at most
-        # (2N + 1) eps max|base|; tol is twice the gap two such errors open.
-        tol = 4 * (obs.shape[1] + 1) * np.finfo(np.float64).eps * np.max(np.abs(self.base))
         width = len(self.base) if cand is None else cand.shape[1] * obs.shape[1]
         step = max(1, BLOCK_VALUES // width)
         blocks = [  # an empty batch still makes one (empty) block
-            self._decide(obs[s:s + step], None if cand is None else cand[s:s + step], tol)
+            self._decide(obs[s:s + step], None if cand is None else cand[s:s + step])
             for s in range(0, len(obs) or 1, step)
         ]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
-    def _decide(self, obs, cand, tol):
+    def _decide(self, obs, cand):
+        # An exact match under the high-SNR rule scores base - coef.y = 0
+        # only up to cancellation noise, which GEMM, GEMV and the gathered
+        # product round differently; see the class docstring for the bound.
+        rel = 4 * (obs.shape[1] + 1) * np.finfo(np.float64).eps
         if cand is None:
             scores = obs @ self.coef.T
             np.subtract(self.base, scores, out=scores)  # one (rows, K) array, not two
+            tol = rel * np.max(np.abs(self.base))
         else:
-            scores = self.base[cand] - np.einsum("tcn,tn->tc", self.coef[cand], obs)
+            listed = self.base[cand]
+            scores = listed - np.einsum("tcn,tn->tc", self.coef[cand], obs)
+            # Column-major: numpy reduces a short last axis row by row,
+            # several times slower than across the columns of this layout.
+            tol = rel * np.abs(listed, order="F").max(axis=1, keepdims=True)
         best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
         rows = np.arange(len(obs))
         if cand is None:
             return best, scores[rows, best], np.full(len(obs), len(self.base))
         lens = 1 + np.count_nonzero(np.diff(cand, axis=1), axis=1)
         return cand[rows, best], scores[rows, best], lens
+
+
+def _check_table(table: SphereTable, size: int, n_outputs: int) -> None:
+    """A table ranks one codebook: reject one made for another."""
+    if table.codebook_size != size or table.n_outputs != n_outputs:
+        raise ValueError(
+            f"sphere table was built for {table.codebook_size} codewords of length "
+            f"{table.n_outputs}, not {size} of length {n_outputs}"
+        )
 
 
 def _candidates(table: SphereTable, obs: np.ndarray) -> np.ndarray:
@@ -330,8 +361,16 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
 
 
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:
-    """Weighted-distance rule restricted to the assembled candidate list."""
-    return _detect_one(Receiver(*distance_affine(codebook, ws), table), y)
+    """Weighted-distance rule restricted to the assembled candidate list.
+
+    Builds the affine form of the listed codewords only, so a call costs
+    O(G * L * 2N), not O(K * 2N). The list is ascending, so ties still
+    go to the smallest codeword index.
+    """
+    _check_table(table, codebook.size, codebook.n_outputs)
+    cand = assemble_list(y, table)
+    r = _detect_one(Receiver(*distance_affine(codebook, ws, rows=cand)), y)
+    return DetectionResult(int(cand[r.index]), r.distance, r.list_len)
 
 
 def sphere_table_to_bytes(table: SphereTable) -> bytes:

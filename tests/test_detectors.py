@@ -13,6 +13,7 @@ from obdk import (
     RealChannel,
     Receiver,
     SphereConfig,
+    SphereTable,
     SymbolTable,
     TapSet,
     WeightSet,
@@ -357,6 +358,66 @@ class TestDetectOsd:
         y = quantize_sign(rng.standard_normal(8))
         r = detect_osd(y, sphere, cb, ws)
         assert r.list_len == len(assemble_list(y, sphere))
+
+    def test_memory_scales_with_list_not_codebook(self):
+        # K = 4096, 2N = 64: one K x 2N float64 array is 2 MB, while the
+        # G * L = 32 listed rows need 16 KB.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        sphere = build_sphere_table(cb, ws, SphereConfig(8, 4))
+        y = quantize_sign(stream_rng(8, 0).standard_normal(cb.n_outputs))
+        tracemalloc.start()
+        try:
+            detect_osd(y, sphere, cb, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
+
+    def test_tie_tolerance_comes_from_listed_rows(self):
+        # Every pattern lists codewords 0 and 1. At y = [1, 1] they score
+        # 1 + 1e-12 and 1, a gap far above the rounding of scores near 1;
+        # unlisted codewords 2 and 3 carry weights 1e6 times larger, so a
+        # tolerance taken over all K (about 5e-9) would call the pair a
+        # tie and pick codeword 0.
+        codewords = np.array([[1, 1], [1, 1], [-1, -1], [-1, 1]], dtype=np.int8)
+        w = np.array([[1.0, 1.0], [1.0, 1.0], [1e6, 1e6], [1e6, 1e6]])
+        w_tilde = np.array([[0.5, 0.5 + 1e-12], [0.5, 0.5], [1e6, 1e6], [1e6, 1e6]])
+        cb = Codebook(codewords, enumerate_symbol_vectors(make_constellation("bpsk"), 2))
+        ws = WeightSet("approx", w, w_tilde, 1.0)
+        sphere = SphereTable(np.tile(np.array([0, 1], dtype=np.uint32), (1, 4, 1)), 2, 2, 4)
+        y = np.array([1, 1], dtype=np.int8)
+        index, score, lens = Receiver(*distance_affine(cb, ws), sphere).detect(y[None])
+        assert (index[0], lens[0]) == (1, 2)
+        assert score[0] == pytest.approx(1.0, abs=1e-15)
+        r = detect_osd(y, sphere, cb, ws)
+        assert (r.index, r.list_len) == (1, 2)
+        assert r.distance == pytest.approx(1.0, abs=1e-15)
+
+    def test_table_of_another_codebook_rejected(self):
+        # Same observation length 2N = 64, K = 16 against K = 4096.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        small_ch, small_table, small_cb = random_system(1, 32, "qam16", 0.3, seed=5)
+        small = build_sphere_table(small_cb, compute_weights_approx(small_ch, small_table),
+                                   SphereConfig(8, 4))
+        y = quantize_sign(stream_rng(8, 0).standard_normal(cb.n_outputs))
+        with pytest.raises(ValueError, match="16 codewords"):
+            detect_osd(y, small, cb, ws)
+        with pytest.raises(ValueError, match="16 codewords"):
+            Receiver(*distance_affine(cb, ws), small)
+
+    def test_table_of_another_observation_length_rejected(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=25)
+        ws = compute_weights_approx(ch, table)
+        short_ch, short_table, short_cb = random_system(2, 2, "qam4", 0.5, seed=25)
+        short = build_sphere_table(short_cb, compute_weights_approx(short_ch, short_table),
+                                   SphereConfig(2, 2))
+        assert short.codebook_size == cb.size and short.n_outputs != cb.n_outputs
+        with pytest.raises(ValueError, match="length 4"):
+            detect_osd(np.ones(8, dtype=np.int8), short, cb, ws)
+        with pytest.raises(ValueError, match="length 4"):
+            Receiver(*distance_affine(cb, ws), short)
 
 
 class TestTappedChannelDetection:

@@ -13,6 +13,9 @@ scored in four blocks. ``table_k4096_30db.osd`` was written while the
 table was still ranked by a full stable sort; at 30 dB many sub-codewords
 score exactly alike, and 402 of its 2048 (group, pattern) lists tie at
 their 4th entry, so it pins the smallest-index tie rule at K=4096.
+``llr_k4096_30db.csv`` holds the soft outputs (``compute_llrs``) of one
+observation at K=4096, written while they were still read from the
+affine form of the whole codebook.
 """
 
 from pathlib import Path
@@ -34,6 +37,9 @@ GOLDEN = {
                   "--seed", "7", "--ns", "8", "--list-size", "4"],
     "table_k4096_30db.osd": ["table-build", "-U", "3", "-N", "32", "--mod", "qam16",
                              "--snr-db", "30", "--seed", "7", "--ns", "8", "--list-size", "4"],
+    "llr_k4096_30db.csv": ["llr", "-U", "6", "-N", "32", "--mod", "qam4", "--snr-db", "30",
+                           "--seed", "7", "--ns", "8", "--list-size", "4",
+                           "--y=" + ",".join(["1,-1,-1,1"] * 16)],
     "sep.csv": ["sep", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--ns", "4", "--list-size", "2",
                 "--trials", "1000", "--channels", "10", "--seed", "7"],
     "bound.csv": ["bound", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--ns", "8",
