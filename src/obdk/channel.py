@@ -8,13 +8,33 @@ imaginary parts of each receive antenna. Quantized observations are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # Noise variances below this are treated as this value; lets noiseless
 # regressions run without dividing by zero.
 SIGMA_SQ_FLOOR = 1e-12
+
+
+def readonly_copy(a, dtype=None) -> np.ndarray:
+    """A private copy of ``a`` that refuses writes.
+
+    The frozen containers below hold their arrays this way, so no caller
+    can change a channel, codebook or weight set after it is built, and
+    forms prepared from one (see ``detectors``) cannot go stale.
+    """
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def reduce_by_fields(obj):
+    """``__reduce__`` of those containers: an unpickled copy is built
+    through ``__init__`` again, so its arrays are read-only too, and
+    what the original keeps beside its fields (prepared receivers) is
+    not sent."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -54,14 +74,15 @@ class ComplexChannel:
 class RealChannel:
     """Real-form channel (2N x 2U) plus the complex-noise variance sigma^2.
 
-    Each real noise component has variance sigma^2 / 2.
+    Each real noise component has variance sigma^2 / 2. ``entries`` is a
+    read-only copy of the matrix passed in.
     """
 
     entries: np.ndarray
     noise_variance: float
 
     def __post_init__(self):
-        h = np.asarray(self.entries, dtype=np.float64)
+        h = readonly_copy(self.entries, np.float64)
         if h.ndim != 2 or h.shape[0] % 2 or h.shape[1] % 2 or h.size == 0:
             raise ValueError("real channel matrix must be 2-D with even dimensions")
         if not np.all(np.isfinite(h)):
@@ -71,6 +92,8 @@ class RealChannel:
             raise ValueError("noise variance must be finite and positive")
         object.__setattr__(self, "entries", h)
         object.__setattr__(self, "noise_variance", max(s2, SIGMA_SQ_FLOOR))
+
+    __reduce__ = reduce_by_fields
 
     @classmethod
     def from_complex(cls, ch: ComplexChannel, noise_variance: float) -> "RealChannel":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RealChannel, quantize_sign
+from .channel import RealChannel, quantize_sign, readonly_copy, reduce_by_fields
 
 # Hard cap on the number of enumerated symbol vectors.
 MAX_CODEBOOK_SIZE = 1 << 24
@@ -75,12 +75,18 @@ class SymbolTable:
     order is fixed: user 1 is the most significant digit and each user's
     symbol runs from the largest constellation point (descending real,
     then descending imaginary) downwards, so index 0 is the all-largest
-    vector. Indices are stable across runs.
+    vector. Indices are stable across runs. ``vectors`` is a read-only
+    copy of the array passed in.
     """
 
     vectors: np.ndarray
     constellation: Constellation
     users: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "vectors", readonly_copy(self.vectors))
+
+    __reduce__ = reduce_by_fields
 
     @property
     def size(self) -> int:
@@ -101,15 +107,23 @@ def enumerate_symbol_vectors(c: Constellation, u: int, cap: int = MAX_CODEBOOK_S
     digits = np.unravel_index(np.arange(k), (m,) * u)
     symbols = np.stack([points_desc[d] for d in digits], axis=1)
     vectors = np.concatenate([symbols.real, symbols.imag], axis=1)
-    return SymbolTable(np.ascontiguousarray(vectors), c, u)
+    return SymbolTable(vectors, c, u)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Sign codewords c_k = sign(H x_k), aligned with their symbol table."""
+    """Sign codewords c_k = sign(H x_k), aligned with their symbol table.
+
+    ``codewords`` is a read-only copy of the array passed in.
+    """
 
     codewords: np.ndarray
     symbols: SymbolTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "codewords", readonly_copy(self.codewords))
+
+    __reduce__ = reduce_by_fields
 
     @property
     def size(self) -> int:

@@ -17,12 +17,16 @@ All distances are affine in the +/-1 observation: d_k(y) = base_k -
 coef_k . y. Every detector is therefore one :class:`Receiver`, the
 affine form (plus the table for the sphere decoder) prepared once per
 coherence block; ties always resolve to the smallest codeword index.
+The full-search ``detect_*`` functions keep the receiver they prepare
+in their weight set (or channel), one per form, and reuse it while the
+codebook stays the same; the arrays of those objects are read-only, so
+a kept receiver cannot go stale.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,6 +165,14 @@ def loglik_affine(codebook: Codebook, ch: RealChannel):
     return base, coef
 
 
+def _negated_loglik_affine(codebook: Codebook, ch: RealChannel):
+    """The negated log-likelihood, -llk_k(y) = -base - coef @ y, as a
+    distance to minimise; fl(-a - b) = -fl(a + b), so negating a score
+    back is exact."""
+    base, coef = loglik_affine(codebook, ch)
+    return -base, coef
+
+
 @dataclass(frozen=True)
 class Receiver:
     """One detector prepared for one coherence block.
@@ -186,16 +198,22 @@ class Receiver:
     that bound. Codewords that are not compared do not enter it, so a
     sphere receiver and a full-search receiver built over one
     observation's candidate rows (as :func:`detect_osd` does) apply the
-    same tolerance.
+    same tolerance. The full-search tolerance is fixed when the receiver
+    is built.
     """
 
     base: np.ndarray
     coef: np.ndarray
     table: SphereTable | None = None
+    _rel: float = field(init=False, repr=False, compare=False)
+    _full_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.table is not None:
             _check_table(self.table, len(self.base), self.coef.shape[1])
+        rel = 4 * (self.coef.shape[1] + 1) * np.finfo(np.float64).eps
+        object.__setattr__(self, "_rel", rel)
+        object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
 
     def _batch(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
@@ -229,17 +247,16 @@ class Receiver:
         # An exact match under the high-SNR rule scores base - coef.y = 0
         # only up to cancellation noise, which GEMM, GEMV and the gathered
         # product round differently; see the class docstring for the bound.
-        rel = 4 * (obs.shape[1] + 1) * np.finfo(np.float64).eps
         if cand is None:
             scores = obs @ self.coef.T
             np.subtract(self.base, scores, out=scores)  # one (rows, K) array, not two
-            tol = rel * np.max(np.abs(self.base))
+            tol = self._full_tol
         else:
             listed = self.base[cand]
             scores = listed - np.einsum("tcn,tn->tc", self.coef[cand], obs)
             # Column-major: numpy reduces a short last axis row by row,
             # several times slower than across the columns of this layout.
-            tol = rel * np.abs(listed, order="F").max(axis=1, keepdims=True)
+            tol = self._rel * np.abs(listed, order="F").max(axis=1, keepdims=True)
         best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
         rows = np.arange(len(obs))
         if cand is None:
@@ -271,22 +288,35 @@ def _detect_one(rx: Receiver, y) -> DetectionResult:
     return DetectionResult(int(index[0]), float(score[0]), int(lens[0]))
 
 
+def _prepared(owner, build, codebook: Codebook) -> Receiver:
+    """The full-search receiver of ``build(codebook, owner)``.
+
+    ``owner`` (a weight set or a channel) keeps it, one per ``build``,
+    and hands it out again while ``codebook`` is the same object; another
+    codebook replaces it. Both hold read-only arrays, so a kept receiver
+    equals a fresh one, and it goes when ``owner`` goes.
+    """
+    kept = owner.__dict__.setdefault("_receivers", {})
+    entry = kept.get(build)
+    if entry is None or entry[0] is not codebook:
+        entry = kept[build] = (codebook, Receiver(*build(codebook, owner)))
+    return entry[1]
+
+
 def detect_mld(y, codebook: Codebook, ch: RealChannel) -> DetectionResult:
     """Maximum-likelihood detection; ties break to the smallest index."""
-    base, coef = loglik_affine(codebook, ch)
-    # Negated log-likelihoods; fl(-a - b) = -fl(a + b), so negating back is exact.
-    r = _detect_one(Receiver(-base, coef), y)
+    r = _detect_one(_prepared(ch, _negated_loglik_affine, codebook), y)
     return DetectionResult(r.index, -r.distance, r.list_len)
 
 
 def detect_mwd(y, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Minimum weighted-Hamming-distance detection over the full codebook."""
-    return _detect_one(Receiver(*distance_affine(codebook, ws)), y)
+    return _detect_one(_prepared(ws, distance_affine, codebook), y)
 
 
 def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Distance rule with match weights dropped (they vanish at high SNR)."""
-    return _detect_one(Receiver(*_mismatch_affine(codebook, ws)), y)
+    return _detect_one(_prepared(ws, _mismatch_affine, codebook), y)
 
 
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
@@ -357,7 +387,10 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (table.n_outputs,):
         raise ValueError(f"observation has shape {y.shape}, expected ({table.n_outputs},)")
-    return np.unique(_candidates(table, y[None, :]))
+    listed = _candidates(table, y[None, :])[0]  # already sorted
+    first = np.ones(len(listed), dtype=bool)
+    first[1:] = listed[1:] != listed[:-1]
+    return listed[first]
 
 
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:
@@ -387,11 +420,21 @@ def sphere_table_to_bytes(table: SphereTable) -> bytes:
 
 
 def sphere_table_from_bytes(data: bytes) -> SphereTable:
+    head = 20  # magic and four u32 fields
     if data[:4] != _TABLE_MAGIC:
         raise ValueError("not a sphere-table blob (bad magic)")
-    g, n_sub, list_size, k_total = struct.unpack("<4I", data[4:20])
+    if len(data) < head:
+        raise ValueError(f"sphere-table blob truncated: {len(data)} bytes, header needs {head}")
+    if (len(data) - head) % 4:
+        raise ValueError(
+            f"sphere-table blob truncated: payload of {len(data) - head} bytes "
+            "is not a whole number of u32 entries"
+        )
+    g, n_sub, list_size, k_total = struct.unpack("<4I", data[4:head])
+    if n_sub > MAX_SUBVECTOR_DIM:
+        raise ValueError(f"sub-vector dimension {n_sub} in blob exceeds {MAX_SUBVECTOR_DIM}")
     count = g * (1 << n_sub) * list_size
-    payload = np.frombuffer(data, dtype="<u4", offset=20)
+    payload = np.frombuffer(data, dtype="<u4", offset=head)
     if len(payload) != count:
         raise ValueError(f"expected {count} table entries, found {len(payload)}")
     if payload.size and payload.max() >= k_total:

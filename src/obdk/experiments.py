@@ -37,8 +37,9 @@ from .detectors import (
     SphereConfig,
     build_sphere_table,
     distance_affine,
-    loglik_affine,
     _mismatch_affine,
+    _negated_loglik_affine,
+    _prepared,
 )
 from .weights import compute_weights_approx, compute_weights_exact
 
@@ -231,28 +232,27 @@ def _receivers(cb, ch: RealChannel, detectors):
     Sphere entries share one n_sub, so one table at the longest list
     serves them all: a shorter list is a prefix of a longer one, both
     being the head of one (score, index) order."""
-    ws = approx = None
+    ws = full = None
     if any(d not in ("mld", "mwd-exact") for d in detectors):
         ws = compute_weights_approx(ch, cb.symbols)
-        approx = distance_affine(cb, ws)
+        full = _prepared(ws, distance_affine, cb)
     spheres = [d for d in detectors if isinstance(d, SphereConfig)]
     if spheres:
         longest = build_sphere_table(cb, ws, max(spheres, key=lambda c: c.list_size))
     receivers = []
     for det in detectors:
         if det == "mld":
-            base, coef = loglik_affine(cb, ch)
-            receivers.append(Receiver(-base, coef))
+            receivers.append(_prepared(ch, _negated_loglik_affine, cb))
         elif det == "mwd-exact":
-            receivers.append(Receiver(*distance_affine(cb, compute_weights_exact(ch, cb.symbols))))
+            receivers.append(_prepared(compute_weights_exact(ch, cb.symbols), distance_affine, cb))
         elif det == "mwd":
-            receivers.append(Receiver(*approx))
+            receivers.append(full)
         elif det == "mwd-hs":
-            receivers.append(Receiver(*_mismatch_affine(cb, ws)))
+            receivers.append(_prepared(ws, _mismatch_affine, cb))
         else:
             head = np.ascontiguousarray(longest.indices[..., :det.list_size])
-            receivers.append(Receiver(*approx, replace(longest, indices=head,
-                                                       list_size=det.list_size)))
+            receivers.append(Receiver(full.base, full.coef, replace(longest, indices=head,
+                                                                    list_size=det.list_size)))
     return receivers, ws
 
 

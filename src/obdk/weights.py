@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .channel import RealChannel
+from .channel import RealChannel, readonly_copy, reduce_by_fields
 from .codebook import SymbolTable
 
 Q_HAT_A = 0.374
@@ -57,7 +57,10 @@ def q_hat(x):
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Per-codeword mismatch (w) and match (w_tilde) weights, K x 2N each."""
+    """Per-codeword mismatch (w) and match (w_tilde) weights, K x 2N each.
+
+    ``w`` and ``w_tilde`` are read-only copies of the arrays passed in.
+    """
 
     flavor: str
     w: np.ndarray
@@ -67,12 +70,16 @@ class WeightSet:
     def __post_init__(self):
         if self.flavor not in ("exact", "approx", "multibit"):
             raise ValueError(f"unknown weight flavor: {self.flavor!r}")
+        object.__setattr__(self, "w", readonly_copy(self.w))
+        object.__setattr__(self, "w_tilde", readonly_copy(self.w_tilde))
         if self.w.shape != self.w_tilde.shape:
             raise ValueError("weight matrices must have identical shapes")
         if not (np.all(self.w > 0) and np.all(self.w_tilde > 0)):
             raise ValueError("weights must be strictly positive")
         if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.w_tilde))):
             raise ValueError("weights must be finite")
+
+    __reduce__ = reduce_by_fields
 
     @property
     def n_codewords(self) -> int:

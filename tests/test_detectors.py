@@ -1,4 +1,7 @@
+import gc
+import pickle
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -39,7 +42,14 @@ from obdk import (
     weighted_hamming,
     write_sphere_table,
 )
-from obdk.detectors import BLOCK_VALUES, _mismatch_affine, _nearest, distance_affine, loglik_affine
+from obdk.detectors import (
+    BLOCK_VALUES,
+    _candidates,
+    _mismatch_affine,
+    _nearest,
+    distance_affine,
+    loglik_affine,
+)
 from conftest import example_system, random_system
 
 
@@ -316,6 +326,17 @@ class TestAssembleList:
         with pytest.raises(ValueError):
             assemble_list(np.ones(6, dtype=np.int8), sphere)
 
+    def test_equals_unique_of_looked_up_lists(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.7, seed=23)
+        ws = compute_weights_approx(ch, table)
+        for n_sub, lsz in ((1, 3), (2, 5), (4, 3)):
+            sphere = build_sphere_table(cb, ws, SphereConfig(n_sub, lsz))
+            for y in _all_observations(8):
+                got = assemble_list(y, sphere)
+                want = np.unique(_candidates(sphere, y[None, :].astype(np.float64)))
+                assert got.dtype == want.dtype
+                assert_array_equal(got, want)
+
 
 class TestDetectOsd:
     def test_matches_full_search_when_winner_listed(self):
@@ -420,6 +441,112 @@ class TestDetectOsd:
             Receiver(*distance_affine(cb, ws), short)
 
 
+class TestPreparedFullSearch:
+    """The full-search detectors prepare their form once per weight set
+    (or channel) and codebook, and reuse it on later calls."""
+
+    @staticmethod
+    def _fresh(cb, ch, ws):
+        lb, lc = loglik_affine(cb, ch)
+        return [
+            (Receiver(-lb, lc), lambda y: detect_mld(y, cb, ch), -1.0),
+            (Receiver(*distance_affine(cb, ws)), lambda y: detect_mwd(y, cb, ws), 1.0),
+            (Receiver(*_mismatch_affine(cb, ws)), lambda y: detect_mwd_high_snr(y, cb, ws), 1.0),
+        ]
+
+    def _assert_bitwise_equal(self, cb, ch, ws, obs):
+        # One observation at a time on both sides: a batch is one GEMM,
+        # which may round differently from the GEMV of a single row.
+        for rx, detect_one, sign in self._fresh(cb, ch, ws):
+            for y in obs:
+                r = detect_one(y)
+                (index,), (score,), (lens,) = rx.detect(y[None])
+                assert (r.index, r.list_len) == (index, lens)
+                assert r.distance == sign * score
+
+    def test_repeated_calls_equal_a_fresh_receiver(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=40)
+        ws = compute_weights_approx(ch, table)
+        obs = _all_observations(cb.n_outputs)
+        for _ in range(2):  # the first pass prepares, the second reuses
+            self._assert_bitwise_equal(cb, ch, ws, obs)
+
+    def test_another_codebook_is_prepared_anew(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=41)
+        ws = compute_weights_approx(ch, table)
+        rows = stream_rng(42, 0).permutation(cb.size)
+        twin_cb = Codebook(cb.codewords[rows],
+                           SymbolTable(table.vectors[rows], table.constellation, table.users))
+        obs = _all_observations(cb.n_outputs)
+        for codebook in (cb, twin_cb, cb):
+            self._assert_bitwise_equal(codebook, ch, ws, obs)
+
+    def test_arrays_are_read_only_copies(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=43)
+        w = compute_weights_approx(ch, table)
+        w_src, wt_src = np.array(w.w), np.array(w.w_tilde)
+        c_src, h_src = np.array(cb.codewords), np.array(ch.entries)
+        ws = WeightSet("approx", w_src, wt_src, w.sigma_sq)
+        own_cb = Codebook(c_src, table)
+        own_ch = RealChannel(h_src, ch.noise_variance)
+        for held in (ws.w, ws.w_tilde, own_cb.codewords, own_ch.entries, table.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 0
+        obs = _all_observations(cb.n_outputs)
+        before = [[detect(y) for y in obs] for _, detect, _ in self._fresh(own_cb, own_ch, ws)]
+        w_src[:] = 1.0
+        wt_src[:] = 1.0
+        c_src[:] = 1
+        h_src[:] = 0.0
+        after = [[detect(y) for y in obs] for _, detect, _ in self._fresh(own_cb, own_ch, ws)]
+        assert after == before
+        self._assert_bitwise_equal(own_cb, own_ch, ws, obs)
+
+    def test_repeated_call_does_not_rebuild_the_form(self):
+        # K = 4096, 2N = 64: the form is a 2 MB coef and a 32 KB base; a
+        # reused receiver only scores, 32 KB of scores and a 4 KB mask.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        y = quantize_sign(stream_rng(8, 0).standard_normal(cb.n_outputs))
+        first = detect_mwd(y, cb, ws)
+        tracemalloc.start()
+        try:
+            again = detect_mwd(y, cb, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 512 * 2**10
+
+    def test_pickled_copies_are_read_only_and_carry_no_receivers(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=45)
+        ws = compute_weights_approx(ch, table)
+        y = cb.codewords[5]
+        want = (detect_mwd(y, cb, ws), detect_mld(y, cb, ch))
+        ws2, ch2, cb2 = pickle.loads(pickle.dumps((ws, ch, cb)))
+        assert "_receivers" not in ws2.__dict__ and "_receivers" not in ch2.__dict__
+        for held in (ws2.w, ws2.w_tilde, ch2.entries, cb2.codewords, cb2.symbols.vectors):
+            assert not held.flags.writeable
+        assert_array_equal(ws2.w, ws.w)
+        assert ch2.noise_variance == ch.noise_variance
+        assert (detect_mwd(y, cb2, ws2), detect_mld(y, cb2, ch2)) == want
+
+    def test_kept_receivers_go_with_their_owner(self):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=44)
+        ws = compute_weights_approx(ch, table)
+        y = cb.codewords[3]
+        detect_mwd(y, cb, ws)
+        detect_mwd_high_snr(y, cb, ws)
+        detect_mld(y, cb, ch)
+        refs = [weakref.ref(ws), weakref.ref(ch)]
+        gc.disable()  # only reference counting may free them
+        try:
+            del ws, ch
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestTappedChannelDetection:
     def test_noise_free_detection_through_expansion(self):
         rng = stream_rng(61, 0)
@@ -476,6 +603,24 @@ class TestSphereTableSerialization:
         blob = sphere_table_to_bytes(self._table())
         with pytest.raises(ValueError):
             sphere_table_from_bytes(blob[:-4])
+
+    def test_truncated_header_rejected(self):
+        blob = sphere_table_to_bytes(self._table())
+        for cut in (4, 12, 19):
+            with pytest.raises(ValueError, match="truncated"):
+                sphere_table_from_bytes(blob[:cut])
+
+    def test_partial_entry_rejected(self):
+        blob = sphere_table_to_bytes(self._table())
+        for cut in (1, 2, 3):
+            with pytest.raises(ValueError, match="truncated"):
+                sphere_table_from_bytes(blob[:-cut])
+
+    def test_oversized_sub_vector_dimension_rejected(self):
+        # A corrupt n_sub would otherwise size the table as 2^n_sub.
+        head = b"OSD1" + np.array([1, 2**31, 1, 16], dtype="<u4").tobytes()
+        with pytest.raises(ValueError, match="sub-vector dimension"):
+            sphere_table_from_bytes(head)
 
     def test_lookup_identical_after_reload(self, tmp_path):
         ch, table, cb = random_system(2, 4, "qam4", 0.9, seed=30)
