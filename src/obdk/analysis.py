@@ -25,6 +25,7 @@ from .detectors import (
     Receiver,
     SphereConfig,
     SphereTable,
+    _row_blocks,
     _sub_scores,
     build_sphere_table,
     distance_affine,
@@ -62,32 +63,48 @@ def sep_bound(inputs: SepBoundInputs) -> float:
     table = inputs.table
     unlisted = np.zeros((table.group_count, table.codebook_size))
     for g, rows, d in _sub_scores(inputs.codebook, inputs.weights, table.n_sub):
-        mass = np.exp(-d)
+        mass = np.exp(np.negative(d, out=d), out=d)
         np.put_along_axis(mass, table.indices[g, rows], 0.0, axis=1)
         unlisted[g] += mass.sum(axis=0)
     return float(unlisted.prod(axis=0).mean())
 
 
-def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator):
+def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
+                 width: int):
     """Uniform codeword indices and their one-bit observations (float64
-    +/-1, the form receivers score); draws the indices first, then the
-    noise, from ``rng``."""
+    +/-1, the form receivers score), yielded as (indices, observations)
+    per row block of :func:`_row_blocks`, for work that holds ``width``
+    values per trial (at least the 2N of an observation).
+
+    Draws all ``trials`` indices first (8 bytes a trial), then the noise
+    of each block in turn, from ``rng``; the stream is consumed as by one
+    draw of the whole batch, so the values do not depend on the blocks.
+    Consume every block before ``rng`` is used again.
+    """
     ks = rng.integers(0, codebook.size, size=trials)
-    noise = rng.standard_normal((trials, ch.n_outputs)) * ch.noise_std_per_component
-    obs = quantize_sign(codebook.symbols.vectors[ks] @ ch.entries.T + noise)
-    return ks, obs.astype(np.float64)
+    for rows in _row_blocks(trials, max(width, ch.n_outputs)):
+        noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
+        noise *= ch.noise_std_per_component
+        obs = quantize_sign(codebook.symbols.vectors[ks[rows]] @ ch.entries.T + noise)
+        yield ks[rows], obs.astype(np.float64)
 
 
-def _sphere_counts(ks, obs, full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
-    """(list misses, losses, summed list length) of one batch: a miss is a
-    true index absent from its list, a loss a trial that the full search
-    gets right and the sphere decoder gets wrong."""
-    cand = sphere.candidates(obs)
-    full_hat, _, _ = full.detect(obs)
-    sphere_hat, _, lens = sphere.detect(obs, cand)
-    listed = np.any(cand == ks[:, None], axis=1)
-    losses = (full_hat == ks) & (sphere_hat != ks)
-    return int(np.count_nonzero(~listed)), int(np.count_nonzero(losses)), int(lens.sum())
+def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
+                   full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
+    """(list misses, losses, summed list length) of ``trials`` draws of
+    :func:`_draw_trials`, counted block by block: a miss is a true index
+    absent from its list, a loss a trial that the full search gets right
+    and the sphere decoder gets wrong."""
+    misses = losses = list_sum = 0
+    width = max(full.row_values, sphere.row_values)
+    for ks, obs in _draw_trials(ch, codebook, trials, rng, width):
+        cand = sphere.candidates(obs)
+        full_hat, _, _ = full.detect(obs)
+        sphere_hat, _, lens = sphere.detect(obs, cand)
+        misses += int(np.count_nonzero(~np.any(cand == ks[:, None], axis=1)))
+        losses += int(np.count_nonzero((full_hat == ks) & (sphere_hat != ks)))
+        list_sum += int(lens.sum())
+    return misses, losses, list_sum
 
 
 def sep_empirical(
@@ -107,9 +124,9 @@ def sep_empirical(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ks, obs = _draw_trials(ch, codebook, trials, rng)
     base, coef = distance_affine(codebook, ws)
-    misses, losses, _ = _sphere_counts(ks, obs, Receiver(base, coef), Receiver(base, coef, table))
+    full, sphere = Receiver(base, coef), Receiver(base, coef, table)
+    misses, losses, _ = _sphere_counts(ch, codebook, trials, rng, full, sphere)
     return misses / trials, losses / trials
 
 

@@ -38,9 +38,10 @@ from .weights import WeightSet, log_q
 # keep the pattern axis bounded.
 MAX_SUBVECTOR_DIM = 20
 
-# Largest block of float64 values that sub-codeword scoring and a
-# receiver's batch build at once (32 MB); larger work runs in row blocks.
-BLOCK_VALUES = 1 << 22
+# Largest block of float64 values that one temporary of sub-codeword
+# scoring, a receiver's batch or a trial draw holds at once (4 MB);
+# larger work runs in row blocks (see _row_blocks).
+BLOCK_VALUES = 1 << 19
 
 _TABLE_MAGIC = b"OSD1"
 
@@ -101,6 +102,27 @@ class SphereTable:
     @property
     def n_outputs(self) -> int:
         return self.group_count * self.n_sub
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Balanced, in-order slices that cover ``range(n_rows)``, for work
+    that holds ``width`` values per row.
+
+    A block has at most ``BLOCK_VALUES // width`` rows, and never a
+    single row when ``n_rows >= 2``: a one-row product goes through
+    GEMV instead of GEMM and rounds differently, so a row's result would
+    depend on where it sits in the batch. Where the budget allows at
+    most two rows, blocks have two, and one has three if ``n_rows`` is
+    odd. An empty batch still gives one (empty) block.
+    """
+    cap = max(2, BLOCK_VALUES // max(width, 1))
+    count = max(1, min(-(-n_rows // cap), n_rows // 2))
+    size, extra = divmod(n_rows, count)
+    start = 0
+    for i in range(count):
+        stop = start + size + (i < extra)
+        yield slice(start, stop)
+        start = stop
 
 
 def weighted_hamming(y, c, w, w_tilde) -> float:
@@ -184,10 +206,13 @@ class Receiver:
     observations. Build it once per block and call :meth:`detect` on
     every batch.
 
-    A batch is scored in row blocks of at most :data:`BLOCK_VALUES`
-    values of its largest temporary: K scores per row for full search,
-    the G * L * 2N gathered coefficients per row for the sphere search.
-    Peak memory is then bounded whatever the batch size.
+    A batch is scored in the row blocks of :func:`_row_blocks`, at most
+    :data:`BLOCK_VALUES` values of its largest temporary each
+    (:attr:`row_values` per row: K scores for full search, the G * L * 2N
+    gathered coefficients for the sphere search, whose candidates are
+    also looked up block by block). Peak memory is then bounded whatever
+    the batch size, and no block has a single row, so every observation
+    gets the same bits wherever it sits in the batch.
 
     Scores closer than rounding can tell apart tie. Every affine form
     here has sum_i |coef_ki| <= |base_k|, so one computed score errs by
@@ -216,12 +241,19 @@ class Receiver:
         object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
 
     def _batch(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)  # converted to float64 block by block
         if obs.ndim != 2 or obs.shape[1] != self.coef.shape[1]:
             raise ValueError(
                 f"observations have shape {obs.shape}, expected (T, {self.coef.shape[1]})"
             )
         return obs
+
+    @property
+    def row_values(self) -> int:
+        """Values per observation of the largest temporary of :meth:`detect`."""
+        if self.table is None:
+            return len(self.base)
+        return self.table.group_count * self.table.list_size * self.coef.shape[1]
 
     def candidates(self, obs) -> np.ndarray:
         """(T, G*L) looked-up sub-list indices of a (T, 2N) batch, sorted
@@ -233,17 +265,16 @@ class Receiver:
         (T, 2N) batch of +/-1 observations. A sphere receiver takes the
         batch's :meth:`candidates` as ``cand`` when the caller has them."""
         obs = self._batch(obs)
-        if self.table is not None and cand is None:
-            cand = _candidates(self.table, obs)
-        width = len(self.base) if cand is None else cand.shape[1] * obs.shape[1]
-        step = max(1, BLOCK_VALUES // width)
-        blocks = [  # an empty batch still makes one (empty) block
-            self._decide(obs[s:s + step], None if cand is None else cand[s:s + step])
-            for s in range(0, len(obs) or 1, step)
-        ]
+        blocks = [self._decide(obs[rows], None if cand is None else cand[rows])
+                  for rows in _row_blocks(len(obs), self.row_values)]
+        if len(blocks) == 1:
+            return blocks[0]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def _decide(self, obs, cand):
+        obs = np.asarray(obs, dtype=np.float64)
+        if cand is None and self.table is not None:
+            cand = _candidates(self.table, obs)
         # An exact match under the high-SNR rule scores base - coef.y = 0
         # only up to cancellation noise, which GEMM, GEMV and the gathered
         # product round differently; see the class docstring for the bound.
@@ -322,20 +353,19 @@ def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     """Sub-codeword scores d_k^g(p) of every sub-vector pattern p.
 
-    Yields blocks (g, pattern slice, (patterns, K) scores) of at most
-    :data:`BLOCK_VALUES` scores each, group by group and patterns in
-    ascending order; row p of a block scores the signs
+    Yields blocks (g, pattern slice, (patterns, K) scores), group by
+    group, the patterns of each group in the row blocks of
+    :func:`_row_blocks` (at most :data:`BLOCK_VALUES` scores each, in
+    ascending order); row p of a block scores the signs
     :func:`pattern_signs` (p, n_sub). Each block is a fresh array that
     the caller may overwrite.
     """
-    n_patterns = 1 << n_sub
-    chunk = max(1, BLOCK_VALUES // codebook.size)
     for g in range(codebook.n_outputs // n_sub):
         base, coef = distance_affine(codebook, ws, columns=slice(g * n_sub, (g + 1) * n_sub))
-        for start in range(0, n_patterns, chunk):
-            rows = slice(start, min(start + chunk, n_patterns))
+        for rows in _row_blocks(1 << n_sub, codebook.size):
             bits = (np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1
-            yield g, rows, base[None, :] - (1.0 - 2.0 * bits) @ coef.T
+            scores = (1.0 - 2.0 * bits) @ coef.T
+            yield g, rows, np.subtract(base, scores, out=scores)  # one block, not two
 
 
 def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:

@@ -57,6 +57,13 @@ CSV_COLUMNS = (
     "seed",
 )
 
+# Largest per-block state an experiment may hold (1 GiB): the codewords
+# and four K x 2N float64 arrays (weights, affine coefficients) plus the
+# sphere table. Larger systems fail in validation instead of being killed
+# for memory part way through.
+STATE_BUDGET_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
@@ -167,6 +174,23 @@ def _check_sphere(cfg: ExperimentConfig, list_sizes) -> None:
             raise ConfigError(f"list size {lsz} must lie in [1, K) with K = {k_total}")
 
 
+def _check_state_size(cfg: ExperimentConfig, list_size: int | None) -> None:
+    """Reject a system whose per-block state exceeds
+    :data:`STATE_BUDGET_BYTES`, before anything is enumerated:
+    K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for a sphere table
+    with lists of ``list_size``."""
+    k_total = make_constellation(cfg.modulation).size ** cfg.users
+    two_n = 2 * cfg.antennas
+    need = k_total * two_n * (4 * 8 + 1)
+    if list_size is not None:
+        need += two_n // cfg.n_sub * (1 << cfg.n_sub) * list_size * 4
+    if need > STATE_BUDGET_BYTES:
+        raise ConfigError(
+            f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
+            f"of state, above the budget of {STATE_BUDGET_BYTES} bytes"
+        )
+
+
 def _check_osd_params(cfg: ExperimentConfig) -> None:
     if cfg.n_sub is None:
         raise ConfigError("--ns is required when the sphere decoder is selected")
@@ -186,11 +210,13 @@ def validate_ser_config(cfg: ExperimentConfig) -> None:
         _check_osd_params(cfg)
     elif cfg.n_sub is not None or cfg.list_size is not None:
         raise ConfigError("--ns/--list-size are only valid when 'osd' is selected")
+    _check_state_size(cfg, cfg.list_size)
 
 
 def validate_sep_config(cfg: ExperimentConfig) -> None:
     _check_common(cfg)
     _check_osd_params(cfg)
+    _check_state_size(cfg, cfg.list_size)
 
 
 def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
@@ -200,6 +226,7 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
     _check_sphere(cfg, cfg.list_sizes)
+    _check_state_size(cfg, max(cfg.list_sizes))
 
 
 def _channel_setup(cfg: ExperimentConfig, channel_index: int):
@@ -219,6 +246,7 @@ def single_block(cfg: ExperimentConfig, snr_db: float):
     """Codebook and approximate weights of channel 0 at one SNR, for the
     commands that work on a single block (sphere-table build, soft outputs)."""
     _check_osd_params(cfg)
+    _check_state_size(cfg, cfg.list_size)
     _, h_entries, cb = _channel_setup(cfg, 0)
     ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr_db))
     return cb, compute_weights_approx(ch, cb.symbols)
@@ -268,10 +296,15 @@ def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dic
     out = {}
     for snr in cfg.snr_db:
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        ks, obs = _draw_trials(ch, cb, cfg.trials, rng)
-        for i, rx in enumerate(_receivers(cb, ch, detectors)[0]):
-            winners, _, lens = rx.detect(obs)
-            out[(i, snr)] = (int(np.count_nonzero(winners != ks)), int(lens.sum()))
+        receivers = _receivers(cb, ch, detectors)[0]
+        totals = np.zeros((len(receivers), 2), dtype=np.int64)
+        width = max(rx.row_values for rx in receivers)
+        for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, width):
+            for i, rx in enumerate(receivers):
+                winners, _, lens = rx.detect(obs)
+                totals[i] += np.count_nonzero(winners != ks), lens.sum()
+        for i, (errors, list_sum) in enumerate(totals.tolist()):
+            out[(i, snr)] = (errors, list_sum)
     return out
 
 
@@ -281,9 +314,8 @@ def _sep_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
     out = {}
     for snr in cfg.snr_db:
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        ks, obs = _draw_trials(ch, cb, cfg.trials, rng)
         (full, narrowed), ws = _receivers(cb, ch, ("mwd", sphere))
-        misses, losses, list_sum = _sphere_counts(ks, obs, full, narrowed)
+        misses, losses, list_sum = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
         out[snr] = {
             "misses": misses,
             "losses": losses,

@@ -100,6 +100,19 @@ class TestUsageErrors:
 
 
 @pytest.mark.parametrize("argv", [
+    ["ser", "-U", "6", "-N", "32", "--mod", "qam16", "--trials", "1", "--channels", "1"],
+    ["table-build", "-U", "4", "-N", "20", "--mod", "qam16", "--snr-db", "5", "--ns", "20",
+     "--list-size", "200", "--out", os.devnull],
+])
+def test_state_beyond_memory_budget_is_a_usage_error(capsys, argv):
+    # K = 2^24 codewords of length 64 (about 35 GB), and a 1.7 GB sphere
+    # table: refused before the codebook is enumerated, stating the bytes.
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "bytes of state" in err and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["ser", "-U", "1", "-N", "1", "--snr-db", "-5,0", "--trials", "1", "--channels", "1"],
     ["llr", "-U", "1", "-N", "2", "--snr-db", "5", "--ns", "2", "--list-size", "1",
      "--y", "-1,1,1,-1"],

@@ -42,11 +42,13 @@ from obdk import (
     weighted_hamming,
     write_sphere_table,
 )
+import obdk.detectors
 from obdk.detectors import (
     BLOCK_VALUES,
     _candidates,
     _mismatch_affine,
     _nearest,
+    _row_blocks,
     distance_affine,
     loglik_affine,
 )
@@ -712,20 +714,20 @@ class TestReceiverProperties:
                 assert detect_one(y).index == index[t]
 
     def test_row_blocks_match_single_rows(self):
-        # K = 4096: full search scores 1024 rows per block, the ns 1 / L 4
-        # sphere search (G * L * 2N = 16384 gathered values a row) 256.
+        # K = 4096: full search scores 128 rows per block, the ns 1 / L 4
+        # sphere search (G * L * 2N = 16384 gathered values a row) 32.
         ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
         ws = compute_weights_approx(ch, table)
         base, coef = distance_affine(cb, ws)
         sphere = build_sphere_table(cb, ws, SphereConfig(1, 4))
-        gathered = sphere.group_count * sphere.list_size * cb.n_outputs
         obs = quantize_sign(stream_rng(6, 0).standard_normal((2100, cb.n_outputs)))
-        for rx, step in ((Receiver(base, coef), BLOCK_VALUES // cb.size),
-                         (Receiver(base, coef, sphere), BLOCK_VALUES // gathered)):
+        for rx in (Receiver(base, coef), Receiver(base, coef, sphere)):
             index, score, lens = rx.detect(obs)
             assert len(index) == len(score) == len(lens) == len(obs)
             atol = 1e-12 * float(np.max(np.abs(base)))
-            for edge in range(step, len(obs), step):
+            edges = [rows.start for rows in _row_blocks(len(obs), rx.row_values)][1:]
+            assert len(edges) > 10
+            for edge in edges:
                 for t in (edge - 1, edge, edge + 1):
                     one = rx.detect(obs[t:t + 1])
                     assert one[0][0] == index[t] and one[2][0] == lens[t]
@@ -733,7 +735,8 @@ class TestReceiverProperties:
 
     def test_full_search_memory_is_bounded(self):
         # 4096 observations x K = 4096: the whole (T, K) score matrix is
-        # 128 MB, and building it in one piece needs twice that.
+        # 128 MB. Scores, and the float64 copy of the +/-1 batch, are made
+        # block by block, so two blocks bound the peak.
         ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
         rx = Receiver(*distance_affine(cb, compute_weights_approx(ch, table)))
         obs = quantize_sign(stream_rng(7, 0).standard_normal((4096, cb.n_outputs)))
@@ -743,4 +746,64 @@ class TestReceiverProperties:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert peak < 2 * 8 * BLOCK_VALUES
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_score_does_not_depend_on_batch_position(self, seed):
+        # 1025 observations at K = 4096. Every row must score exactly as
+        # it does in a two-row batch; a one-row block (GEMV rather than
+        # GEMM) rounds differently, so none may be left at the tail.
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        base, coef = distance_affine(cb, ws)
+        sphere = build_sphere_table(cb, ws, SphereConfig(8, 4))
+        obs = quantize_sign(stream_rng(seed, 0).standard_normal((1025, cb.n_outputs)))
+        for rx in (Receiver(base, coef), Receiver(base, coef, sphere)):
+            index, score, _ = rx.detect(obs)
+            for t in range(len(obs)):
+                pair_index, pair_score, _ = rx.detect(obs[[t, t - 1]])
+                assert pair_index[0] == index[t]
+                assert pair_score[0] == score[t]
+
+    @pytest.mark.parametrize("block_values", [1 << 10, 1 << 22])
+    def test_block_budget_does_not_change_bits(self, block_values, monkeypatch):
+        ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        base, coef = distance_affine(cb, ws)
+        cfg = SphereConfig(8, 4)
+        obs = quantize_sign(stream_rng(8, 0).standard_normal((301, cb.n_outputs)))
+
+        def outputs():
+            sphere = build_sphere_table(cb, ws, cfg)
+            return [sphere.indices, *Receiver(base, coef).detect(obs),
+                    *Receiver(base, coef, sphere).detect(obs)]
+
+        default = outputs()
+        monkeypatch.setattr(obdk.detectors, "BLOCK_VALUES", block_values)
+        for got, want in zip(outputs(), default, strict=True):
+            assert got.dtype == want.dtype
+            assert_array_equal(got, want)
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n_rows=st.integers(0, 3000),
+           width=st.one_of(st.integers(1, 1 << 14),
+                           st.integers(BLOCK_VALUES // 4, 2 * BLOCK_VALUES)))
+    def test_balanced_in_order_cover_within_budget(self, n_rows, width):
+        blocks = list(_row_blocks(n_rows, width))
+        assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        cap = BLOCK_VALUES // width
+        if n_rows < 2:
+            assert sizes == [n_rows]
+        elif cap >= 3:  # as few blocks as the budget allows
+            assert min(sizes) >= 2 and max(sizes) <= cap
+            assert len(blocks) == -(-n_rows // cap)
+        else:  # the two-row minimum; an odd batch needs one of three
+            assert set(sizes) <= {2, 3} and sizes.count(3) <= 1
+
+    def test_empty_batch_gives_one_empty_block(self):
+        assert list(_row_blocks(0, 64)) == [slice(0, 0)]

@@ -1,6 +1,10 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import pytest
+
+import obdk.experiments
 
 from obdk import (
     ConfigError,
@@ -13,6 +17,7 @@ from obdk import (
     snr_db_to_sigma_sq,
     wilson_interval,
 )
+from obdk.detectors import BLOCK_VALUES
 from obdk.experiments import (
     CSV_COLUMNS,
     validate_ser_config,
@@ -215,6 +220,50 @@ class TestValidation:
             validate_ser_config(_small_cfg(trials=0))
         with pytest.raises(ConfigError):
             validate_ser_config(_small_cfg(channels=0))
+
+
+class TestStateBudget:
+    def test_rejects_state_beyond_budget_before_enumerating(self, monkeypatch):
+        # -U 6 -N 32 qam16: K = 2^24 codewords of length 64, about 35 GB.
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the codebook was enumerated")
+
+        monkeypatch.setattr(obdk.experiments, "enumerate_symbol_vectors", enumerate_nothing)
+        big = _small_cfg(users=6, antennas=32, modulation="qam16", n_sub=8, list_size=4)
+        need = 2**24 * 64 * (4 * 8 + 1) + 8 * 2**8 * 4 * 4
+        for check in (validate_ser_config, validate_sep_config, run_ser_experiment,
+                      run_sep_experiment):
+            with pytest.raises(ConfigError, match=f"needs {need} bytes"):
+                check(big)
+        with pytest.raises(ConfigError, match="budget"):
+            validate_ser_config(replace(big, detectors=("mld",), n_sub=None, list_size=None))
+        with pytest.raises(ConfigError, match="budget"):
+            validate_tradeoff_config(replace(big, list_sizes=(1, 4)))
+
+    def test_sphere_table_counts_toward_budget(self):
+        # K = 2^16 at 2N = 40 holds 86 MB; lists of 200 entries over
+        # 2 x 2^20 patterns add 1.7 GB of table, lists of 4 only 34 MB.
+        cfg = _small_cfg(users=4, antennas=20, modulation="qam16", n_sub=20, list_size=200)
+        with pytest.raises(ConfigError, match="budget"):
+            validate_sep_config(cfg)
+        with pytest.raises(ConfigError, match="budget"):
+            validate_tradeoff_config(replace(cfg, list_sizes=(4, 200)))
+        validate_sep_config(replace(cfg, list_size=4))
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_trials(self):
+        # 200 000 trials: all indices are drawn at once (8 bytes a trial),
+        # observations and scores in blocks of at most BLOCK_VALUES values.
+        cfg = _small_cfg(snr_db=(3.0,), trials=200_000, channels=1)
+        for run in (run_ser_experiment, run_sep_experiment):
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
 
 
 class TestSerialization:
