@@ -6,13 +6,10 @@ from .analysis import (
     complexity_model,
     compute_llrs,
     sep_bound,
-    sep_empirical,
 )
 from .channel import (
     ComplexChannel,
     RealChannel,
-    TapSet,
-    expand_frequency_selective,
     expand_real_channel,
     quantize_sign,
     sample_rayleigh_channel,
@@ -60,11 +57,9 @@ from .experiments import (
     wilson_interval,
 )
 from .weights import (
-    ScalarQuantizer,
     WeightSet,
     compute_weights_approx,
     compute_weights_exact,
-    compute_weights_multibit,
     log_q,
     q_hat,
 )

@@ -6,8 +6,8 @@ codeword index misses the assembled list, so the list-miss probability
 bounds that loss. ``sep_bound`` computes it for a fixed channel from the
 sphere table: with exact weights the value is the decoder's exact
 list-miss probability; approximate weights make it approximate and can
-push it above 1 (the experiments clamp it to [0, 1]). ``sep_empirical``
-measures the miss rate (and the actual loss rate) by simulation.
+push it above 1 (the experiments clamp it to [0, 1]); ``experiments``
+measures the miss and loss rates themselves by simulation.
 ``complexity_model`` counts real multiplications for the three detector
 families, and ``compute_llrs`` produces per-bit soft outputs from the
 candidate list for 4-QAM.
@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RealChannel, quantize_sign
 from .codebook import Codebook
-from .detectors import (
-    Receiver,
-    SphereConfig,
-    SphereTable,
-    _row_blocks,
-    _sub_scores,
-    build_sphere_table,
-    distance_affine,
-)
+from .detectors import SphereConfig, SphereTable, _sub_scores, build_sphere_table, distance_affine
 from .weights import WeightSet
 
 
@@ -67,67 +58,6 @@ def sep_bound(inputs: SepBoundInputs) -> float:
         np.put_along_axis(mass, table.indices[g, rows], 0.0, axis=1)
         unlisted[g] += mass.sum(axis=0)
     return float(unlisted.prod(axis=0).mean())
-
-
-def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
-                 width: int):
-    """Uniform codeword indices and their one-bit observations (float64
-    +/-1, the form receivers score), yielded as (indices, observations)
-    per row block of :func:`_row_blocks`, for work that holds ``width``
-    values per trial (at least the 2N of an observation).
-
-    Draws all ``trials`` indices first (8 bytes a trial), then the noise
-    of each block in turn, from ``rng``; the stream is consumed as by one
-    draw of the whole batch, so the values do not depend on the blocks.
-    Consume every block before ``rng`` is used again.
-    """
-    ks = rng.integers(0, codebook.size, size=trials)
-    for rows in _row_blocks(trials, max(width, ch.n_outputs)):
-        noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
-        noise *= ch.noise_std_per_component
-        obs = quantize_sign(codebook.symbols.vectors[ks[rows]] @ ch.entries.T + noise)
-        yield ks[rows], obs.astype(np.float64)
-
-
-def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
-                   full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
-    """(list misses, losses, summed list length) of ``trials`` draws of
-    :func:`_draw_trials`, counted block by block: a miss is a true index
-    absent from its list, a loss a trial that the full search gets right
-    and the sphere decoder gets wrong."""
-    misses = losses = list_sum = 0
-    width = max(full.row_values, sphere.row_values)
-    for ks, obs in _draw_trials(ch, codebook, trials, rng, width):
-        cand = sphere.candidates(obs)
-        full_hat, _, _ = full.detect(obs)
-        sphere_hat, _, lens = sphere.detect(obs, cand)
-        misses += int(np.count_nonzero(~np.any(cand == ks[:, None], axis=1)))
-        losses += int(np.count_nonzero((full_hat == ks) & (sphere_hat != ks)))
-        list_sum += int(lens.sum())
-    return misses, losses, list_sum
-
-
-def sep_empirical(
-    ch: RealChannel,
-    codebook: Codebook,
-    ws: WeightSet,
-    table: SphereTable,
-    trials: int,
-    rng: np.random.Generator,
-):
-    """Monte-Carlo estimate of (list-miss rate, loss rate vs full search).
-
-    Draws a uniform codeword per trial, transmits it through the noisy
-    channel, and counts how often the true index misses the assembled
-    list and how often the sphere decoder errs while the full-search
-    rule is correct on the same observation.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    base, coef = distance_affine(codebook, ws)
-    full, sphere = Receiver(base, coef), Receiver(base, coef, table)
-    misses, losses, _ = _sphere_counts(ch, codebook, trials, rng, full, sphere)
-    return misses / trials, losses / trials
 
 
 @dataclass(frozen=True)

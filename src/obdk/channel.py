@@ -114,34 +114,6 @@ class RealChannel:
         return float(np.sqrt(self.noise_variance / 2.0))
 
 
-@dataclass(frozen=True)
-class TapSet:
-    """Ordered impulse-response taps of a frequency-selective real channel.
-
-    ``taps[l]`` is the 2N x 2U real matrix of the l-th tap; ``block_len``
-    is the number of data symbols per transmission block.
-    """
-
-    taps: tuple
-    block_len: int
-
-    def __post_init__(self):
-        taps = tuple(np.asarray(t, dtype=np.float64) for t in self.taps)
-        if len(taps) < 1:
-            raise ValueError("tap list must not be empty")
-        shape = taps[0].shape
-        for t in taps:
-            if t.shape != shape or t.ndim != 2:
-                raise ValueError("all taps must share the same 2-D shape")
-        if self.block_len < 1:
-            raise ValueError("block length must be >= 1")
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.taps)
-
-
 def expand_real_channel(ch: ComplexChannel) -> np.ndarray:
     """Stack a complex channel into its real 2N x 2U block form
     [[Re, -Im], [Im, Re]]."""
@@ -180,19 +152,3 @@ def transmit_and_quantize(ch: RealChannel, x, rng: np.random.Generator) -> np.nd
     z = rng.standard_normal(ch.n_outputs) * ch.noise_std_per_component
     return quantize_sign(ch.entries @ x + z)
 
-
-def expand_frequency_selective(t: TapSet) -> np.ndarray:
-    """Lower-banded block-Toeplitz expansion of a tapped channel.
-
-    A block transmission of B symbol vectors through an n_taps-tap channel
-    is equivalent to one flat channel use with 2UB inputs and
-    2N(B + n_taps - 1) outputs; the returned matrix is that flat channel.
-    """
-    two_n, two_u = t.taps[0].shape
-    b, n_taps = t.block_len, t.n_taps
-    out = np.zeros((two_n * (b + n_taps - 1), two_u * b))
-    for col in range(b):
-        for ell in range(n_taps):
-            row = col + ell
-            out[row * two_n:(row + 1) * two_n, col * two_u:(col + 1) * two_u] = t.taps[ell]
-    return out

@@ -76,47 +76,41 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
-def _config_from_args(args, detectors, list_sizes=None) -> ExperimentConfig:
+def _config_from_args(args, **fields) -> ExperimentConfig:
     return ExperimentConfig(
         users=args.users,
         antennas=args.antennas,
         modulation=args.mod,
         snr_db=args.snr_db,
-        detectors=detectors,
-        n_sub=getattr(args, "ns", None),
+        n_sub=args.ns,
         list_size=getattr(args, "list_size", None),
-        list_sizes=list_sizes,
         trials=args.trials,
         channels=args.channels,
         seed=args.seed,
-        time_slots=getattr(args, "td", 4096),
         workers=resolve_workers(args.workers),
-        out=args.out,
-        fmt=args.fmt,
+        **fields,
     )
 
 
 def _cmd_ser(args) -> int:
     cfg = _config_from_args(args, detectors=args.detectors)
-    write_records(run_ser_experiment(cfg), cfg.out, cfg.fmt)
+    write_records(run_ser_experiment(cfg), args.out, args.fmt)
     return 0
 
 
 def _cmd_sep(args) -> int:
-    cfg = _config_from_args(args, detectors=("mwd", "osd"))
-    write_records(run_sep_experiment(cfg), cfg.out, cfg.fmt)
+    write_records(run_sep_experiment(_config_from_args(args)), args.out, args.fmt)
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
-    cfg = _config_from_args(args, detectors=("mld", "osd"), list_sizes=args.list_sizes)
-    write_records(run_tradeoff_sweep(cfg), cfg.out, cfg.fmt)
+    cfg = _config_from_args(args, list_sizes=args.list_sizes, time_slots=args.td)
+    write_records(run_tradeoff_sweep(cfg), args.out, args.fmt)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    cfg = _config_from_args(args, detectors=("osd",))
-    write_records(run_bound_sweep(cfg), cfg.out, cfg.fmt)
+    write_records(run_bound_sweep(_config_from_args(args)), args.out, args.fmt)
     return 0
 
 

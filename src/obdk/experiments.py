@@ -21,16 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import (
-    ComplexityQuery,
-    SepBoundInputs,
-    _draw_trials,
-    _sphere_counts,
-    complexity_model,
-    sep_bound,
-)
-from .channel import RealChannel, sample_rayleigh_channel, stream_rng
-from .codebook import build_codebook, enumerate_symbol_vectors, make_constellation
+from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, sep_bound
+from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream_rng
+from .codebook import Codebook, build_codebook, enumerate_symbol_vectors, make_constellation
 from .detectors import (
     MAX_SUBVECTOR_DIM,
     Receiver,
@@ -40,6 +33,7 @@ from .detectors import (
     _mismatch_affine,
     _negated_loglik_affine,
     _prepared,
+    _row_blocks,
 )
 from .weights import compute_weights_approx, compute_weights_exact
 
@@ -109,8 +103,6 @@ class ExperimentConfig:
     seed: int = 0
     time_slots: int = 4096
     workers: int = 1
-    out: str | None = None
-    fmt: str = "csv"
 
 
 @dataclass
@@ -284,6 +276,44 @@ def _receivers(cb, ch: RealChannel, detectors):
     return receivers, ws
 
 
+def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
+                 width: int):
+    """Uniform codeword indices and their one-bit observations (float64
+    +/-1, the form receivers score), yielded as (indices, observations)
+    per row block of :func:`_row_blocks`, for work that holds ``width``
+    values per trial (at least the 2N of an observation).
+
+    Draws all ``trials`` indices first (8 bytes a trial), then the noise
+    of each block in turn, from ``rng``; the stream is consumed as by one
+    draw of the whole batch, so the values do not depend on the blocks.
+    Consume every block before ``rng`` is used again.
+    """
+    ks = rng.integers(0, codebook.size, size=trials)
+    for rows in _row_blocks(trials, max(width, ch.n_outputs)):
+        noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
+        noise *= ch.noise_std_per_component
+        obs = quantize_sign(codebook.symbols.vectors[ks[rows]] @ ch.entries.T + noise)
+        yield ks[rows], obs.astype(np.float64)
+
+
+def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
+                   full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
+    """(list misses, losses, summed list length) of ``trials`` draws of
+    :func:`_draw_trials`, counted block by block: a miss is a true index
+    absent from its list, a loss a trial that the full search gets right
+    and the sphere decoder gets wrong."""
+    misses = losses = list_sum = 0
+    width = max(full.row_values, sphere.row_values)
+    for ks, obs in _draw_trials(ch, codebook, trials, rng, width):
+        cand = sphere.candidates(obs)
+        full_hat, _, _ = full.detect(obs)
+        sphere_hat, _, lens = sphere.detect(obs, cand)
+        misses += int(np.count_nonzero(~np.any(cand == ks[:, None], axis=1)))
+        losses += int(np.count_nonzero((full_hat == ks) & (sphere_hat != ks)))
+        list_sum += int(lens.sum())
+    return misses, losses, list_sum
+
+
 def _clamped_bound(inputs: SepBoundInputs) -> float:
     return float(min(1.0, max(0.0, sep_bound(inputs))))
 
@@ -454,28 +484,11 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
-def _fmt_number(x) -> str:
-    return repr(float(x))
-
-
 def records_to_csv(records) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.detector,
-                    _fmt_number(r.snr_db),
-                    str(r.channels),
-                    str(r.trials),
-                    str(r.errors),
-                    _fmt_number(r.rate),
-                    _fmt_number(r.mean_list_len),
-                    str(r.distance_evals),
-                    str(r.seed),
-                )
-            )
-        )
+        fields = r.output_fields()
+        lines.append(",".join(str(fields[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,7 @@
 
 Every detector scores a +/-1 observation against codeword k with a
 weighted Hamming distance: position i charges ``w[k, i]`` on a sign
-mismatch and ``w_tilde[k, i]`` on a match. Three weight flavors are
+mismatch and ``w_tilde[k, i]`` on a match. Two weight flavors are
 provided:
 
 * ``exact``    -- negative log tail probabilities; minimizing the
@@ -10,9 +10,6 @@ provided:
 * ``approx``   -- closed forms from the exponential tail approximation
   Q_hat(x) = exp(-a x^2 - b x) / 2 with a = 0.374, b = 0.777; no tail
   lookups needed at detection time.
-* ``multibit`` -- negative log bin probabilities of a multi-level scalar
-  quantizer (the one-bit case degenerates to ``exact`` up to the scale
-  constant used for the bins).
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 
 from .channel import RealChannel, readonly_copy, reduce_by_fields
 from .codebook import SymbolTable
@@ -31,7 +28,6 @@ Q_HAT_B = 0.777
 # log_q saturates beyond this argument; weights are then bounded by
 # -log_ndtr(-40) ~= 804.6, keeping distance sums finite at extreme SNR.
 LOG_Q_ARG_MAX = 40.0
-_LOG_Q_MIN = float(log_ndtr(-LOG_Q_ARG_MAX))
 # Smallest admissible weight; match weights underflow to zero at extreme
 # SNR and are floored here to stay strictly positive.
 _WEIGHT_FLOOR = np.finfo(np.float64).tiny
@@ -68,7 +64,7 @@ class WeightSet:
     sigma_sq: float
 
     def __post_init__(self):
-        if self.flavor not in ("exact", "approx", "multibit"):
+        if self.flavor not in ("exact", "approx"):
             raise ValueError(f"unknown weight flavor: {self.flavor!r}")
         object.__setattr__(self, "w", readonly_copy(self.w))
         object.__setattr__(self, "w_tilde", readonly_copy(self.w_tilde))
@@ -121,106 +117,3 @@ def compute_weights_approx(ch: RealChannel, s: SymbolTable) -> WeightSet:
     w = (2.0 * Q_HAT_A / s2) * absp * absp + (Q_HAT_B * np.sqrt(2.0 / s2)) * absp + np.log(2.0)
     w_tilde = np.maximum(-np.log1p(-np.exp(-w)), _WEIGHT_FLOOR)
     return WeightSet("approx", w, w_tilde, s2)
-
-
-@dataclass(frozen=True)
-class ScalarQuantizer:
-    """Multi-level scalar quantizer with 2^bits output levels.
-
-    ``boundaries`` are the 2^bits - 1 interior bin edges (strictly
-    increasing); the outermost edges are -inf / +inf. A value equal to a
-    boundary maps to the upper level, so the one-bit quantizer agrees
-    with the sign convention used for codewords.
-    """
-
-    bits: int
-    levels: np.ndarray
-    boundaries: np.ndarray
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("quantizer needs at least one bit")
-        levels = np.asarray(self.levels, dtype=np.float64)
-        bounds = np.asarray(self.boundaries, dtype=np.float64)
-        if len(levels) != 2 ** self.bits:
-            raise ValueError(f"expected {2 ** self.bits} levels, got {len(levels)}")
-        if len(bounds) != len(levels) - 1:
-            raise ValueError("need exactly one interior boundary between adjacent levels")
-        if np.any(np.diff(levels) <= 0) or (len(bounds) > 1 and np.any(np.diff(bounds) <= 0)):
-            raise ValueError("levels and boundaries must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "boundaries", bounds)
-
-    @classmethod
-    def uniform(cls, bits: int, step: float) -> "ScalarQuantizer":
-        """Uniform mid-rise quantizer with the given step size."""
-        n = 2 ** bits
-        boundaries = step * (np.arange(1, n) - n / 2.0)
-        levels = step * (np.arange(n) - (n - 1) / 2.0)
-        return cls(bits, levels, boundaries)
-
-    def level_index(self, v) -> np.ndarray:
-        return np.searchsorted(self.boundaries, np.asarray(v, dtype=np.float64), side="right")
-
-    def quantize(self, v) -> np.ndarray:
-        return self.levels[self.level_index(v)]
-
-
-def _log_gauss_mass(lo, hi):
-    """ln(Phi(hi) - Phi(lo)) for standardized bounds lo < hi.
-
-    The subtraction is done in whichever tail keeps the leading term
-    dominant, so deep-tail bins do not cancel to zero. Bounds are clamped
-    to +/-40 and the result is floored at ln Q(40).
-    """
-    lo = np.clip(np.asarray(lo, dtype=np.float64), -LOG_Q_ARG_MAX, LOG_Q_ARG_MAX)
-    hi = np.clip(np.asarray(hi, dtype=np.float64), -LOG_Q_ARG_MAX, LOG_Q_ARG_MAX)
-    out = np.empty(np.broadcast(lo, hi).shape)
-    lo, hi = np.broadcast_arrays(lo, hi)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = hi <= 0.0
-        right = lo >= 0.0
-        mid = ~(left | right)
-        if np.any(left):
-            a, b = lo[left], hi[left]
-            out[left] = log_ndtr(b) + np.log1p(-np.exp(log_ndtr(a) - log_ndtr(b)))
-        if np.any(right):
-            a, b = lo[right], hi[right]
-            out[right] = log_ndtr(-a) + np.log1p(-np.exp(log_ndtr(-b) - log_ndtr(-a)))
-        if np.any(mid):
-            out[mid] = np.log(ndtr(hi[mid]) - ndtr(lo[mid]))
-    return np.maximum(np.nan_to_num(out, nan=_LOG_Q_MIN, neginf=_LOG_Q_MIN), _LOG_Q_MIN)
-
-
-def compute_weights_multibit(ch: RealChannel, s: SymbolTable, q: ScalarQuantizer) -> WeightSet:
-    """Bin-probability weights for a multi-level scalar quantizer.
-
-    Bins are standardized by sigma / 2. The match weight is the negative
-    log mass of the bin holding the noise-free value h_i . x_k; the
-    mismatch weight is the negative log mass of the most probable
-    competing bin.
-    """
-    if len(q.levels) < 2:
-        raise ValueError("quantizer must offer at least one competing level")
-    mu = _inner_products(ch, s)
-    scale = np.sqrt(ch.noise_variance) / 2.0
-    lo_edges = np.concatenate(([-np.inf], q.boundaries))
-    hi_edges = np.concatenate((q.boundaries, [np.inf]))
-    # (levels, K, 2N) log bin masses around each noise-free value.
-    logp = _log_gauss_mass(
-        (lo_edges[:, None, None] - mu[None, :, :]) / scale,
-        (hi_edges[:, None, None] - mu[None, :, :]) / scale,
-    )
-    true_bin = q.level_index(mu)
-    w_tilde = -np.take_along_axis(logp, true_bin[None, :, :], axis=0)[0]
-    competing = np.where(
-        np.arange(len(q.levels))[:, None, None] == true_bin[None, :, :], -np.inf, logp
-    )
-    w = -competing.max(axis=0)
-    return WeightSet(
-        "multibit",
-        np.maximum(w, _WEIGHT_FLOOR),
-        np.maximum(w_tilde, _WEIGHT_FLOOR),
-        ch.noise_variance,
-    )

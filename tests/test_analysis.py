@@ -17,8 +17,6 @@ from obdk import (
     compute_weights_approx,
     compute_weights_exact,
     sep_bound,
-    sep_empirical,
-    stream_rng,
     weighted_hamming,
 )
 from obdk.detectors import distance_affine
@@ -189,59 +187,6 @@ class TestFlipPatternProbabilities:
                     e = np.array(bits)
                     total += float(np.prod(np.where(e == 1, qk, 1 - qk)))
                 assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestSepEmpirical:
-    def test_loss_bounded_by_miss_rate(self):
-        ch, table, cb = random_system(2, 4, "qam4", 1.0, seed=46)
-        ws = compute_weights_approx(ch, table)
-        sphere = build_sphere_table(cb, ws, SphereConfig(4, 2))
-        sep_hat, loss_hat = sep_empirical(ch, cb, ws, sphere, 5000, stream_rng(47, 0))
-        stderr = np.sqrt(max(sep_hat, 1e-4) * (1 - min(sep_hat, 1 - 1e-4)) / 5000)
-        assert loss_hat <= sep_hat + 3 * stderr
-
-    def test_deterministic_under_fixed_seed(self):
-        ch, table, cb = random_system(2, 4, "qam4", 1.0, seed=46)
-        ws = compute_weights_approx(ch, table)
-        sphere = build_sphere_table(cb, ws, SphereConfig(4, 2))
-        a = sep_empirical(ch, cb, ws, sphere, 2000, stream_rng(48, 0))
-        b = sep_empirical(ch, cb, ws, sphere, 2000, stream_rng(48, 0))
-        assert a == b
-
-    def test_single_group_full_list_matches_enumeration(self):
-        # One group holding all but one codeword: a miss happens exactly
-        # when the true index ranks last. The exact miss rate follows by
-        # enumerating all 2^8 observations with per-element flip
-        # probabilities.
-        ch, table, cb = random_system(2, 4, "qam4", 0.7, seed=49)
-        ws = compute_weights_approx(ch, table)
-        sphere = build_sphere_table(cb, ws, SphereConfig(8, cb.size - 1))
-        flip = np.exp(-compute_weights_exact(ch, table).w)  # (K, 2N)
-        exact_rate = 0.0
-        for k in range(cb.size):
-            for bits in product((0, 1), repeat=8):
-                e = np.array(bits)
-                y = cb.codewords[k] * (1 - 2 * e)
-                prob = float(np.prod(np.where(e == 1, flip[k], 1 - flip[k])))
-                if k not in set(int(i) for i in
-                                np.asarray(sphere.indices[0, _pattern_of(y)], dtype=int)):
-                    exact_rate += prob / cb.size
-        trials = 20_000
-        sep_hat, _ = sep_empirical(ch, cb, ws, sphere, trials, stream_rng(50, 0))
-        stderr = np.sqrt(exact_rate * (1 - exact_rate) / trials)
-        assert abs(sep_hat - exact_rate) <= 3 * stderr + 1e-12
-
-    def test_rejects_zero_trials(self):
-        ch, table, cb = random_system(1, 2, "qam4", 1.0, seed=51)
-        ws = compute_weights_approx(ch, table)
-        sphere = build_sphere_table(cb, ws, SphereConfig(2, 1))
-        with pytest.raises(ValueError):
-            sep_empirical(ch, cb, ws, sphere, 0, stream_rng(0, 0))
-
-
-def _pattern_of(y):
-    bits = (1 - np.asarray(y, dtype=np.int64)) // 2
-    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
 
 
 class TestComplexityModel:

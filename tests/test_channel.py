@@ -6,8 +6,6 @@ from scipy.special import ndtr
 from obdk import (
     ComplexChannel,
     RealChannel,
-    TapSet,
-    expand_frequency_selective,
     expand_real_channel,
     quantize_sign,
     sample_rayleigh_channel,
@@ -152,57 +150,3 @@ class TestRealChannelValidation:
     def test_noise_variance_floor(self):
         ch = RealChannel(np.ones((2, 2)), 1e-30)
         assert ch.noise_variance == 1e-12
-
-
-class TestFrequencySelectiveExpansion:
-    def test_single_tap_is_block_diagonal(self):
-        rng = stream_rng(11, 0)
-        tap = rng.standard_normal((4, 2))
-        out = expand_frequency_selective(TapSet((tap,), block_len=3))
-        assert out.shape == (12, 6)
-        for b in range(3):
-            assert_array_equal(out[4 * b:4 * (b + 1), 2 * b:2 * (b + 1)], tap)
-        mask = np.ones_like(out, dtype=bool)
-        for b in range(3):
-            mask[4 * b:4 * (b + 1), 2 * b:2 * (b + 1)] = False
-        assert np.all(out[mask] == 0)
-
-    def test_two_taps_two_blocks(self):
-        rng = stream_rng(12, 0)
-        h0 = rng.standard_normal((2, 2))
-        h1 = rng.standard_normal((2, 2))
-        out = expand_frequency_selective(TapSet((h0, h1), block_len=2))
-        zero = np.zeros((2, 2))
-        expected = np.block([[h0, zero], [h1, h0], [zero, h1]])
-        assert_array_equal(out, expected)
-
-    def test_output_dimensions(self):
-        # 2N(B + n_taps - 1) rows and 2UB columns.
-        taps = tuple(np.ones((4, 2)) for _ in range(2))
-        out = expand_frequency_selective(TapSet(taps, block_len=3))
-        assert out.shape == (16, 6)
-        taps = tuple(np.ones((4, 4)) for _ in range(2))
-        out = expand_frequency_selective(TapSet(taps, block_len=3))
-        assert out.shape == (16, 12)
-
-    def test_band_count(self):
-        # Every tap occupies one block diagonal; with generic entries the
-        # number of nonzero block diagonals equals the tap count.
-        rng = stream_rng(13, 0)
-        n_taps, b = 3, 4
-        taps = tuple(rng.standard_normal((2, 2)) for _ in range(n_taps))
-        out = expand_frequency_selective(TapSet(taps, block_len=b))
-        nonzero_diags = 0
-        for d in range(b + n_taps - 1):
-            blocks = [
-                out[(c + d) * 2:(c + d + 1) * 2, c * 2:(c + 1) * 2]
-                for c in range(b)
-                if c + d < b + n_taps - 1
-            ]
-            if any(np.any(blk != 0) for blk in blocks):
-                nonzero_diags += 1
-        assert nonzero_diags == n_taps
-
-    def test_empty_tap_list(self):
-        with pytest.raises(ValueError):
-            TapSet((), block_len=1)

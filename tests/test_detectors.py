@@ -18,7 +18,6 @@ from obdk import (
     SphereConfig,
     SphereTable,
     SymbolTable,
-    TapSet,
     WeightSet,
     assemble_list,
     build_codebook,
@@ -30,7 +29,6 @@ from obdk import (
     detect_mwd_high_snr,
     detect_osd,
     enumerate_symbol_vectors,
-    expand_frequency_selective,
     make_constellation,
     pattern_index,
     pattern_signs,
@@ -547,27 +545,6 @@ class TestPreparedFullSearch:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
-
-
-class TestTappedChannelDetection:
-    def test_noise_free_detection_through_expansion(self):
-        rng = stream_rng(61, 0)
-        n, u, b, n_taps = 2, 1, 2, 2
-        taps = tuple(rng.standard_normal((2 * n, 2 * u)) for _ in range(n_taps))
-        flat = expand_frequency_selective(TapSet(taps, block_len=b))
-        # Expansion columns are stacked per time slot ([Re, Im] blocks);
-        # detection over the equivalent UB-user system needs the symbol
-        # layout [all Re, then all Im], hence the column reorder.
-        ub = u * b
-        order = [t * 2 * u + j for t in range(b) for j in range(u)]
-        order += [t * 2 * u + u + j for t in range(b) for j in range(u)]
-        ch = RealChannel(flat[:, order], 0.05)
-        table = enumerate_symbol_vectors(make_constellation("qam4"), ub)
-        cb = build_codebook(ch, table)
-        assert len(np.unique(cb.codewords, axis=0)) == cb.size
-        ws = compute_weights_approx(ch, table)
-        for k in range(cb.size):
-            assert detect_mwd(cb.codewords[k], cb, ws).index == k
 
 
 class TestSphereTableSerialization:

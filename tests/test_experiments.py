@@ -1,7 +1,9 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
+import numpy as np
 import pytest
 
 import obdk.experiments
@@ -9,21 +11,30 @@ import obdk.experiments
 from obdk import (
     ConfigError,
     ExperimentConfig,
+    Receiver,
+    SphereConfig,
+    build_sphere_table,
+    compute_weights_approx,
+    compute_weights_exact,
+    pattern_index,
     records_to_csv,
     records_to_json,
     run_sep_experiment,
     run_ser_experiment,
     run_tradeoff_sweep,
     snr_db_to_sigma_sq,
+    stream_rng,
     wilson_interval,
 )
-from obdk.detectors import BLOCK_VALUES
+from obdk.detectors import BLOCK_VALUES, distance_affine
 from obdk.experiments import (
     CSV_COLUMNS,
+    _sphere_counts,
     validate_ser_config,
     validate_sep_config,
     validate_tradeoff_config,
 )
+from conftest import random_system
 
 
 def _small_cfg(**kw):
@@ -159,6 +170,32 @@ class TestSepExperiment:
         a = records_to_csv(run_sep_experiment(_small_cfg(workers=1, **cfg)))
         b = records_to_csv(run_sep_experiment(_small_cfg(workers=2, **cfg)))
         assert a == b
+
+
+class TestSphereCounts:
+    def test_single_group_full_list_matches_enumeration(self):
+        # One group holding all but one codeword: a miss happens exactly
+        # when the true index ranks last. The exact miss rate follows by
+        # enumerating all 2^8 observations with per-element flip
+        # probabilities.
+        ch, table, cb = random_system(2, 4, "qam4", 0.7, seed=49)
+        ws = compute_weights_approx(ch, table)
+        sphere = build_sphere_table(cb, ws, SphereConfig(8, cb.size - 1))
+        flip = np.exp(-compute_weights_exact(ch, table).w)  # (K, 2N)
+        exact_rate = 0.0
+        for k in range(cb.size):
+            for bits in product((0, 1), repeat=8):
+                e = np.array(bits)
+                y = cb.codewords[k] * (1 - 2 * e)
+                prob = float(np.prod(np.where(e == 1, flip[k], 1 - flip[k])))
+                if k not in sphere.indices[0, pattern_index(y)]:
+                    exact_rate += prob / cb.size
+        trials = 20_000
+        base, coef = distance_affine(cb, ws)
+        misses, _, _ = _sphere_counts(ch, cb, trials, stream_rng(50, 0),
+                                      Receiver(base, coef), Receiver(base, coef, sphere))
+        stderr = np.sqrt(exact_rate * (1 - exact_rate) / trials)
+        assert abs(misses / trials - exact_rate) <= 3 * stderr + 1e-12
 
 
 class TestTradeoffSweep:

@@ -2,16 +2,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from obdk import (
     ComplexChannel,
     RealChannel,
-    ScalarQuantizer,
     compute_weights_approx,
     compute_weights_exact,
-    compute_weights_multibit,
     enumerate_symbol_vectors,
     expand_real_channel,
     log_q,
@@ -178,107 +175,3 @@ class TestApproxWeights:
         q = ndtr(-s)
         assert np.all(np.abs(np.exp(-ws.w[0, :n]) - q) <= 1e-3)
         assert np.all(np.abs(np.exp(-ws.w_tilde[0, :n]) - (1 - q)) <= 1e-3)
-
-
-class TestScalarQuantizer:
-    def test_uniform_two_bit(self):
-        q = ScalarQuantizer.uniform(2, 1.0)
-        assert_allclose(q.boundaries, [-1.0, 0.0, 1.0])
-        assert_allclose(q.levels, [-1.5, -0.5, 0.5, 1.5])
-
-    def test_one_bit_sign(self):
-        q = ScalarQuantizer(1, [-1.0, 1.0], [0.0])
-        assert_allclose(q.quantize([-0.3, 0.0, 2.0]), [-1.0, 1.0, 1.0])
-
-    def test_every_value_maps_to_one_level(self):
-        q = ScalarQuantizer.uniform(3, 0.5)
-        v = np.linspace(-5, 5, 101)
-        idx = q.level_index(v)
-        assert np.all((idx >= 0) & (idx < len(q.levels)))
-
-    def test_rejects_zero_bits(self):
-        with pytest.raises(ValueError):
-            ScalarQuantizer(0, [0.0], [])
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            ScalarQuantizer(1, [1.0, -1.0], [0.0])
-
-
-class TestMultibitWeights:
-    def test_one_bit_reduces_to_exact(self):
-        # The bin scale is sigma / 2 while the one-bit tail argument uses
-        # sigma / sqrt(2); the single-boundary quantizer therefore equals
-        # the exact weights computed at half the noise variance.
-        values = np.linspace(0.1, 1.5, 5)
-        sigma_sq = 0.9
-        ch, table = _line_system(values, sigma_sq)
-        q1 = ScalarQuantizer(1, [-1.0, 1.0], [0.0])
-        wm = compute_weights_multibit(ch, table, q1)
-        ch_half, _ = _line_system(values, sigma_sq / 2.0)
-        we = compute_weights_exact(ch_half, table)
-        assert_allclose(wm.w, we.w, rtol=1e-9)
-        assert_allclose(wm.w_tilde, we.w_tilde, rtol=1e-9)
-
-    def test_true_bin_probability_in_unit_interval(self):
-        ch, table = _line_system(np.linspace(0.1, 2.0, 6), 1.0)
-        q = ScalarQuantizer.uniform(2, 1.0)
-        ws = compute_weights_multibit(ch, table, q)
-        p = np.exp(-ws.w_tilde)
-        assert np.all((p > 0) & (p < 1))
-
-    def test_two_bit_bin_mass(self):
-        # sigma^2 = 2, h.x = 0.5: the match weight is the negative log of
-        # the Gaussian mass (scale sigma / 2) of the bin (0, 1].
-        sigma_sq = 2.0
-        ch, table = _line_system([0.5], sigma_sq)
-        q = ScalarQuantizer.uniform(2, 1.0)
-        ws = compute_weights_multibit(ch, table, q)
-        scale = np.sqrt(sigma_sq) / 2.0
-        density = lambda t: np.exp(-((t - 0.5) ** 2) / (2 * scale**2)) / (scale * np.sqrt(2 * np.pi))
-        mass, _ = quad(density, 0.0, 1.0)
-        assert_allclose(ws.w_tilde[0, 0], -np.log(mass), rtol=1e-9)
-        assert_allclose(ws.w_tilde[0, 0], 0.65296562567633116, rtol=1e-10)
-
-    def test_mismatch_weight_is_best_competitor(self):
-        sigma_sq = 2.0
-        ch, table = _line_system([0.5], sigma_sq)
-        q = ScalarQuantizer.uniform(2, 1.0)
-        ws = compute_weights_multibit(ch, table, q)
-        scale = np.sqrt(sigma_sq) / 2.0
-        edges = [-np.inf, -1.0, 0.0, 1.0, np.inf]
-        masses = [
-            float(ndtr((edges[i + 1] - 0.5) / scale) - ndtr((edges[i] - 0.5) / scale))
-            for i in range(4)
-        ]
-        competitors = masses[:2] + masses[3:]
-        assert_allclose(ws.w[0, 0], -np.log(max(competitors)), rtol=1e-9)
-
-    def test_all_weights_positive_and_finite(self):
-        ch, table = _line_system(np.linspace(-30.0, 30.0, 13), 0.01)
-        q = ScalarQuantizer.uniform(3, 0.25)
-        ws = compute_weights_multibit(ch, table, q)
-        assert np.all(ws.w > 0) and np.all(np.isfinite(ws.w))
-        assert np.all(ws.w_tilde > 0) and np.all(np.isfinite(ws.w_tilde))
-
-    def test_log_bin_mass_branches(self):
-        # Reference values from 120-digit quadrature of the normal
-        # density; covers the central, right-tail, and near-degenerate
-        # branches of the log-mass evaluation.
-        from obdk.weights import _log_gauss_mass
-
-        cases = [
-            (-1.0, 1.0, -0.381715146302),
-            (-36.0, -35.0, -616.975125495),
-            (35.0, 36.0, -616.975125495),
-            (10.0, 10.0000001, -67.0370346902),
-            (5.0, 25.0, -15.064998394),
-        ]
-        for lo, hi, want in cases:
-            got = float(_log_gauss_mass(np.array([lo]), np.array([hi]))[0])
-            assert got == pytest.approx(want, rel=1e-6)
-        # Full-line mass is one; mirrored bins agree exactly.
-        assert float(_log_gauss_mass(np.array([-40.0]), np.array([40.0]))[0]) == 0.0
-        left = _log_gauss_mass(np.array([-39.9]), np.array([-38.0]))
-        right = _log_gauss_mass(np.array([38.0]), np.array([39.9]))
-        assert float(left[0]) == float(right[0])
