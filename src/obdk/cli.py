@@ -21,6 +21,7 @@ from .detectors import SphereConfig, assemble_list, build_sphere_table, write_sp
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _write_text,
     resolve_workers,
     run_bound_sweep,
     run_sep_experiment,
@@ -161,11 +162,7 @@ def _cmd_llr(args) -> int:
         text = "user,llr_odd,llr_even\n" + "".join(
             f"{r['user']},{r['llr_odd']!r},{r['llr_even']!r}\n" for r in rows
         )
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(text, args.out)
     return 0
 
 

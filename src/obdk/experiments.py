@@ -14,9 +14,10 @@ sigma^2 = 10 ** (-snr_db / 10) with unit-power symbols.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -123,22 +124,8 @@ class ExperimentRecord:
     rel_complexity: float | None = None
 
     def output_fields(self) -> dict:
-        out = {
-            "detector": self.detector,
-            "snr_db": float(self.snr_db),
-            "channels": self.channels,
-            "trials": self.trials,
-            "errors": self.errors,
-            "rate": float(self.rate),
-            "mean_list_len": float(self.mean_list_len),
-            "distance_evals": self.distance_evals,
-            "seed": self.seed,
-        }
-        if self.rel_ser is not None:
-            out["rel_ser"] = float(self.rel_ser)
-        if self.rel_complexity is not None:
-            out["rel_complexity"] = float(self.rel_complexity)
-        return out
+        """Every field, less the ``rel_*`` ones left unset."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _check_common(cfg: ExperimentConfig) -> None:
@@ -150,45 +137,44 @@ def _check_common(cfg: ExperimentConfig) -> None:
         raise ConfigError("--channels must be >= 1")
     if not cfg.snr_db:
         raise ConfigError("--snr-db must list at least one value")
+    for snr in cfg.snr_db:
+        _check_snr(snr)
     if cfg.modulation not in ("bpsk", "qam4", "qam16"):
         raise ConfigError(f"unsupported --mod value: {cfg.modulation!r}")
 
 
-def _check_sphere(cfg: ExperimentConfig, list_sizes) -> None:
-    two_n = 2 * cfg.antennas
-    k_total = make_constellation(cfg.modulation).size ** cfg.users
-    if not 1 <= cfg.n_sub <= MAX_SUBVECTOR_DIM:
-        raise ConfigError(f"--ns must lie in [1, {MAX_SUBVECTOR_DIM}], got {cfg.n_sub}")
-    if two_n % cfg.n_sub:
-        raise ConfigError(f"--ns {cfg.n_sub} must divide the observation length 2N = {two_n}")
-    for lsz in list_sizes:
-        if not 1 <= lsz < k_total:
-            raise ConfigError(f"list size {lsz} must lie in [1, K) with K = {k_total}")
+def _check_snr(snr: float) -> None:
+    if not math.isfinite(snr):
+        raise ConfigError(f"--snr-db values must be finite, got {snr}")
 
 
-def _check_state_size(cfg: ExperimentConfig, list_size: int | None) -> None:
-    """Reject a system whose per-block state exceeds
-    :data:`STATE_BUDGET_BYTES`, before anything is enumerated:
-    K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for a sphere table
-    with lists of ``list_size``."""
-    k_total = make_constellation(cfg.modulation).size ** cfg.users
+def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
+    """Reject sphere parameters that make no table of lists of each of
+    ``list_sizes`` (empty when there is no table), then a system whose
+    per-block state exceeds :data:`STATE_BUDGET_BYTES`, before anything
+    is enumerated: K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for
+    a table with lists of the longest L."""
     two_n = 2 * cfg.antennas
+    k_total = make_constellation(cfg.modulation).size ** cfg.users
     need = k_total * two_n * (4 * 8 + 1)
-    if list_size is not None:
-        need += two_n // cfg.n_sub * (1 << cfg.n_sub) * list_size * 4
+    if list_sizes:
+        if cfg.n_sub is None:
+            raise ConfigError("--ns is required when the sphere decoder is selected")
+        if None in list_sizes:
+            raise ConfigError("--list-size is required when the sphere decoder is selected")
+        if not 1 <= cfg.n_sub <= MAX_SUBVECTOR_DIM:
+            raise ConfigError(f"--ns must lie in [1, {MAX_SUBVECTOR_DIM}], got {cfg.n_sub}")
+        if two_n % cfg.n_sub:
+            raise ConfigError(f"--ns {cfg.n_sub} must divide the observation length 2N = {two_n}")
+        for lsz in list_sizes:
+            if not 1 <= lsz < k_total:
+                raise ConfigError(f"list size {lsz} must lie in [1, K) with K = {k_total}")
+        need += two_n // cfg.n_sub * (1 << cfg.n_sub) * max(list_sizes) * 4
     if need > STATE_BUDGET_BYTES:
         raise ConfigError(
             f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
             f"of state, above the budget of {STATE_BUDGET_BYTES} bytes"
         )
-
-
-def _check_osd_params(cfg: ExperimentConfig) -> None:
-    if cfg.n_sub is None:
-        raise ConfigError("--ns is required when the sphere decoder is selected")
-    if cfg.list_size is None:
-        raise ConfigError("--list-size is required when the sphere decoder is selected")
-    _check_sphere(cfg, (cfg.list_size,))
 
 
 def validate_ser_config(cfg: ExperimentConfig) -> None:
@@ -198,17 +184,15 @@ def validate_ser_config(cfg: ExperimentConfig) -> None:
     unknown = [d for d in cfg.detectors if d not in DETECTOR_NAMES]
     if unknown:
         raise ConfigError(f"unknown detector(s): {', '.join(unknown)}")
-    if "osd" in cfg.detectors:
-        _check_osd_params(cfg)
-    elif cfg.n_sub is not None or cfg.list_size is not None:
+    sphere = "osd" in cfg.detectors
+    if not sphere and (cfg.n_sub is not None or cfg.list_size is not None):
         raise ConfigError("--ns/--list-size are only valid when 'osd' is selected")
-    _check_state_size(cfg, cfg.list_size)
+    _check_sphere(cfg, (cfg.list_size,) if sphere else ())
 
 
 def validate_sep_config(cfg: ExperimentConfig) -> None:
     _check_common(cfg)
-    _check_osd_params(cfg)
-    _check_state_size(cfg, cfg.list_size)
+    _check_sphere(cfg, (cfg.list_size,))
 
 
 def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
@@ -218,7 +202,6 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
     _check_sphere(cfg, cfg.list_sizes)
-    _check_state_size(cfg, max(cfg.list_sizes))
 
 
 def _channel_setup(cfg: ExperimentConfig, channel_index: int):
@@ -237,8 +220,8 @@ def _channel_setup(cfg: ExperimentConfig, channel_index: int):
 def single_block(cfg: ExperimentConfig, snr_db: float):
     """Codebook and approximate weights of channel 0 at one SNR, for the
     commands that work on a single block (sphere-table build, soft outputs)."""
-    _check_osd_params(cfg)
-    _check_state_size(cfg, cfg.list_size)
+    _check_sphere(cfg, (cfg.list_size,))
+    _check_snr(snr_db)
     _, h_entries, cb = _channel_setup(cfg, 0)
     ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr_db))
     return cb, compute_weights_approx(ch, cb.symbols)
@@ -320,11 +303,11 @@ def _clamped_bound(inputs: SepBoundInputs) -> float:
 
 def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dict:
     """(errors, summed list length) of each receiver of ``detectors`` (see
-    :func:`_receivers`), keyed by (position, SNR); every receiver sees the
-    same observations."""
+    :func:`_receivers`), keyed by (receiver position, SNR position); every
+    receiver sees the same observations."""
     rng, h_entries, cb = _channel_setup(cfg, channel_index)
     out = {}
-    for snr in cfg.snr_db:
+    for j, snr in enumerate(cfg.snr_db):
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
         receivers = _receivers(cb, ch, detectors)[0]
         totals = np.zeros((len(receivers), 2), dtype=np.int64)
@@ -334,75 +317,69 @@ def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dic
                 winners, _, lens = rx.detect(obs)
                 totals[i] += np.count_nonzero(winners != ks), lens.sum()
         for i, (errors, list_sum) in enumerate(totals.tolist()):
-            out[(i, snr)] = (errors, list_sum)
+            out[i, j] = (errors, list_sum)
     return out
 
 
 def _sep_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
+    """(misses, losses, summed list length, clamped bound) per SNR position."""
     rng, h_entries, cb = _channel_setup(cfg, channel_index)
     sphere = SphereConfig(cfg.n_sub, cfg.list_size)
     out = {}
-    for snr in cfg.snr_db:
+    for j, snr in enumerate(cfg.snr_db):
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
         (full, narrowed), ws = _receivers(cb, ch, ("mwd", sphere))
-        misses, losses, list_sum = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
-        out[snr] = {
-            "misses": misses,
-            "losses": losses,
-            "list_sum": list_sum,
-            "bound": _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)),
-        }
+        counts = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
+        out[j] = (*counts, _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)))
     return out
 
 
 def _bound_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
+    """(clamped bound,) per SNR position."""
     _, h_entries, cb = _channel_setup(cfg, channel_index)
     sphere = SphereConfig(cfg.n_sub, cfg.list_size)
     out = {}
-    for snr in cfg.snr_db:
+    for j, snr in enumerate(cfg.snr_db):
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
         ws = compute_weights_approx(ch, cb.symbols)
-        out[snr] = {"bound": _clamped_bound(SepBoundInputs.build(cb, ws, sphere))}
+        out[j] = (_clamped_bound(SepBoundInputs.build(cb, ws, sphere)),)
     return out
 
 
-def _map_channels(worker, cfg: ExperimentConfig):
-    """Run the per-channel worker over all channel indices, in order."""
+def _channel_totals(worker, cfg: ExperimentConfig) -> dict:
+    """Run the per-channel worker, which returns {key: tuple of numbers},
+    over all channel indices; each key's tuples summed elementwise in
+    channel order."""
     if cfg.workers <= 1:
-        return [worker(cfg, ci) for ci in range(cfg.channels)]
-    from concurrent.futures import ProcessPoolExecutor
+        partials = [worker(cfg, ci) for ci in range(cfg.channels)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(partial(worker, cfg), range(cfg.channels)))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            partials = list(pool.map(partial(worker, cfg), range(cfg.channels)))
+    return {key: tuple(map(sum, zip(*(p[key] for p in partials)))) for key in partials[0]}
 
 
-def _sum_cells(partials, key) -> tuple[int, int]:
-    """Channel totals of a (errors, list_sum) cell of :func:`_detect_channel`."""
-    return tuple(sum(cell) for cell in zip(*(p[key] for p in partials)))
+def _rate_record(cfg: ExperimentConfig, name: str, snr, errors: int, list_sum: int,
+                 **rel) -> ExperimentRecord:
+    """A simulated row: ``errors`` and ``list_sum`` summed over every trial."""
+    n = cfg.trials * cfg.channels
+    return ExperimentRecord(name, float(snr), cfg.channels, cfg.trials, errors, errors / n,
+                            list_sum / n, list_sum, cfg.seed, **rel)
+
+
+def _bound_record(cfg: ExperimentConfig, snr, bound_sum: float) -> ExperimentRecord:
+    return ExperimentRecord("bound", float(snr), cfg.channels, 0, 0, bound_sum / cfg.channels,
+                            0.0, 0, cfg.seed)
 
 
 def run_ser_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Paired symbol-error-rate sweep; one record per (detector, SNR)."""
     validate_ser_config(cfg)
     dets = [SphereConfig(cfg.n_sub, cfg.list_size) if d == "osd" else d for d in cfg.detectors]
-    partials = _map_channels(partial(_detect_channel, dets), cfg)
-    n = cfg.trials * cfg.channels
-    records = []
-    for i, det in enumerate(cfg.detectors):
-        for snr in cfg.snr_db:
-            errors, list_sum = _sum_cells(partials, (i, snr))
-            records.append(
-                ExperimentRecord(
-                    det, float(snr), cfg.channels, cfg.trials, errors, errors / n,
-                    list_sum / n, list_sum, cfg.seed,
-                )
-            )
-    return records
-
-
-def _bound_record(cfg: ExperimentConfig, snr, cells) -> ExperimentRecord:
-    mean_bound = sum(c["bound"] for c in cells) / cfg.channels
-    return ExperimentRecord("bound", float(snr), cfg.channels, 0, 0, mean_bound, 0.0, 0, cfg.seed)
+    totals = _channel_totals(partial(_detect_channel, dets), cfg)
+    return [_rate_record(cfg, det, snr, *totals[i, j])
+            for i, det in enumerate(cfg.detectors) for j, snr in enumerate(cfg.snr_db)]
 
 
 def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -414,24 +391,13 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     clamped to [0, 1]).
     """
     validate_sep_config(cfg)
-    partials = _map_channels(_sep_channel, cfg)
-    n = cfg.trials * cfg.channels
+    totals = _channel_totals(_sep_channel, cfg)
     records = []
-    for snr in cfg.snr_db:
-        cells = [p[snr] for p in partials]
-        misses = sum(c["misses"] for c in cells)
-        losses = sum(c["losses"] for c in cells)
-        list_sum = sum(c["list_sum"] for c in cells)
-        mean_len = list_sum / n
-        records.append(
-            ExperimentRecord("sep", float(snr), cfg.channels, cfg.trials, misses,
-                             misses / n, mean_len, list_sum, cfg.seed)
-        )
-        records.append(
-            ExperimentRecord("p_loss", float(snr), cfg.channels, cfg.trials, losses,
-                             losses / n, mean_len, list_sum, cfg.seed)
-        )
-        records.append(_bound_record(cfg, snr, cells))
+    for j, snr in enumerate(cfg.snr_db):
+        misses, losses, list_sum, bound_sum = totals[j]
+        records += [_rate_record(cfg, "sep", snr, misses, list_sum),
+                    _rate_record(cfg, "p_loss", snr, losses, list_sum),
+                    _bound_record(cfg, snr, bound_sum)]
     return records
 
 
@@ -439,8 +405,8 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Channel-averaged analytic list-miss bound alone (no simulation);
     one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
     validate_sep_config(cfg)
-    partials = _map_channels(_bound_channel, cfg)
-    return [_bound_record(cfg, snr, [p[snr] for p in partials]) for snr in cfg.snr_db]
+    totals = _channel_totals(_bound_channel, cfg)
+    return [_bound_record(cfg, snr, *totals[j]) for j, snr in enumerate(cfg.snr_db)]
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -454,32 +420,25 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """
     validate_tradeoff_config(cfg)
     dets = ["mld", *(SphereConfig(cfg.n_sub, lsz) for lsz in cfg.list_sizes)]
-    partials = _map_channels(partial(_detect_channel, dets), cfg)
-    n = cfg.trials * cfg.channels
+    totals = _channel_totals(partial(_detect_channel, dets), cfg)
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     _, mld_mults = complexity_model(
         ComplexityQuery("mld", cfg.users, cfg.antennas, k_total, cfg.time_slots)
     )
     records = []
-    for snr in cfg.snr_db:
-        mld_errors, mld_sum = _sum_cells(partials, (0, snr))
-        records.append(
-            ExperimentRecord("mld", float(snr), cfg.channels, cfg.trials, mld_errors,
-                             mld_errors / n, mld_sum / n, mld_sum, cfg.seed)
-        )
+    for j, snr in enumerate(cfg.snr_db):
+        mld_errors, mld_sum = totals[0, j]
+        records.append(_rate_record(cfg, "mld", snr, mld_errors, mld_sum))
         for i, lsz in enumerate(cfg.list_sizes, start=1):
-            errors, list_sum = _sum_cells(partials, (i, snr))
+            errors, list_sum = totals[i, j]
             pre, det = complexity_model(
                 ComplexityQuery("osd", cfg.users, cfg.antennas, k_total, cfg.time_slots,
                                 n_sub=cfg.n_sub, list_size=lsz)
             )
             records.append(
-                ExperimentRecord(
-                    f"osd-l{lsz}", float(snr), cfg.channels, cfg.trials, errors,
-                    errors / n, list_sum / n, list_sum, cfg.seed,
-                    rel_ser=(mld_errors / errors) if errors else None,
-                    rel_complexity=(pre + det) / mld_mults,
-                )
+                _rate_record(cfg, f"osd-l{lsz}", snr, errors, list_sum,
+                             rel_ser=(mld_errors / errors) if errors else None,
+                             rel_complexity=(pre + det) / mld_mults)
             )
     return records
 
@@ -496,10 +455,14 @@ def records_to_json(records) -> str:
     return json.dumps([r.output_fields() for r in records], indent=2) + "\n"
 
 
-def write_records(records, out: str | None, fmt: str = "csv") -> None:
-    text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+def _write_text(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def write_records(records, out: str | None, fmt: str = "csv") -> None:
+    _write_text(records_to_csv(records) if fmt == "csv" else records_to_json(records), out)

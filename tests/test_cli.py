@@ -112,6 +112,48 @@ def test_state_beyond_memory_budget_is_a_usage_error(capsys, argv):
     assert "bytes of state" in err and "budget" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ser", "-U", "2", "-N", "4", "--detectors", "osd", *FEW],
+     "--ns is required when the sphere decoder is selected"),
+    (["ser", "-U", "2", "-N", "4", "--detectors", "osd", "--ns", "30", *FEW],
+     "--list-size is required when the sphere decoder is selected"),
+    (["sep", "-U", "2", "-N", "4", "--ns", "30", "--list-size", "99", *FEW],
+     "--ns must lie in [1, 20], got 30"),
+    (["ser", "-U", "2", "-N", "4", "--detectors", "osd", "--ns", "3", "--list-size", "99", *FEW],
+     "--ns 3 must divide the observation length 2N = 8"),
+    (["tradeoff", "-U", "2", "-N", "4", "--ns", "4", "--list-sizes", "99,0", *FEW],
+     "list size 99 must lie in [1, K) with K = 16"),
+    (["ser", "-U", "6", "-N", "32", "--mod", "qam16", "--detectors", "osd", "--ns", "30",
+      "--list-size", "4", *FEW],
+     "--ns must lie in [1, 20], got 30"),
+    (["ser", "-U", "6", "-N", "32", "--mod", "qam16", "--detectors", "mwd", "--ns", "8", *FEW],
+     "--ns/--list-size are only valid when 'osd' is selected"),
+    (["tradeoff", "-U", "4", "-N", "20", "--mod", "qam16", "--ns", "20", "--list-sizes", "200,4",
+      *FEW],
+     "a block of K = 65536 codewords of length 2N = 40 needs 1764229120 bytes of state, "
+     "above the budget of 1073741824 bytes"),
+])
+def test_sphere_check_precedence(capsys, argv, message):
+    # Missing sphere flags, then --ns range, divisibility, each list size
+    # in order, and only then the memory budget (at the longest list).
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["ser", "-U", "2", "-N", "4", *FEW],
+    ["sep", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", *FEW],
+    ["tradeoff", "-U", "2", "-N", "4", "--ns", "4", "--list-sizes", "2", *FEW],
+    ["bound", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", *FEW],
+    ["table-build", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--out", os.devnull],
+    ["llr", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--y", "1,1,1,1,1,1,1,1"],
+])
+def test_non_finite_snr_is_a_usage_error(capsys, argv, value):
+    code, out, err = _run(capsys, argv + [f"--snr-db={value}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --snr-db values must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["ser", "-U", "1", "-N", "1", "--snr-db", "-5,0", "--trials", "1", "--channels", "1"],
     ["llr", "-U", "1", "-N", "2", "--snr-db", "5", "--ns", "2", "--list-size", "1",
@@ -262,6 +304,15 @@ class TestLlrCommand:
         assert code == 0
         rows = json.loads(out)
         assert [r["user"] for r in rows] == [0, 1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):
+        argv = self.BASE + ["--y", ",".join(["1", "-1"] * 4), "--format", fmt]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        path = tmp_path / f"llr.{fmt}"
+        assert _run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
 
     def test_wrong_length_observation(self, capsys):
         code, _, err = _run(capsys, self.BASE + ["--y", "1,-1,1"])

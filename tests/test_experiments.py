@@ -172,6 +172,20 @@ class TestSepExperiment:
         assert a == b
 
 
+@pytest.mark.parametrize("run, first", [
+    (run_ser_experiment, slice(0, None, 2)),  # detector-major rows
+    (run_sep_experiment, slice(0, 3)),  # SNR-major rows
+])
+def test_repeated_snr_point_reports_its_own_trials(run, first):
+    # The first of two equal SNR points is the single-point run: its draw
+    # is not overwritten by the second one, which follows in the stream.
+    cfg = _small_cfg(detectors=("mwd", "osd"), trials=200, channels=2, seed=1)
+    once = run(replace(cfg, snr_db=(5.0,)))
+    twice = run(replace(cfg, snr_db=(5.0, 5.0)))
+    assert len(twice) == 2 * len(once)
+    assert twice[first] == once
+
+
 class TestSphereCounts:
     def test_single_group_full_list_matches_enumeration(self):
         # One group holding all but one codeword: a miss happens exactly

@@ -15,7 +15,10 @@ score exactly alike, and 402 of its 2048 (group, pattern) lists tie at
 their 4th entry, so it pins the smallest-index tie rule at K=4096.
 ``llr_k4096_30db.csv`` holds the soft outputs (``compute_llrs``) of one
 observation at K=4096, written while they were still read from the
-affine form of the whole codebook.
+affine form of the whole codebook. ``ser_all.json`` is the only file
+that covers all five detectors, ``mwd-exact`` and ``mwd-hs`` among
+them; it was written before the drivers summed their per-channel
+results through one helper.
 """
 
 from pathlib import Path
@@ -30,6 +33,9 @@ GOLDEN = {
     "ser_criterion09.csv": ["ser", "-U", "2", "-N", "4", "--mod", "qam4", "--snr-db", "0,6",
                             "--detectors", "mld,mwd,osd", "--ns", "4", "--list-size", "2",
                             "--trials", "200", "--channels", "8", "--seed", "99"],
+    "ser_all.json": ["ser", "-U", "2", "-N", "8", "--snr-db", "0,5,10", "--detectors",
+                     "mld,mwd-exact,mwd,mwd-hs,osd", "--ns", "4", "--list-size", "2",
+                     "--trials", "500", "--channels", "4", "--seed", "3", "--format", "json"],
     "tradeoff.json": ["tradeoff", "-U", "2", "-N", "8", "--snr-db", "5", "--ns", "8",
                       "--list-sizes", "1,2,4", "--td", "4096", "--channels", "10",
                       "--format", "json"],
