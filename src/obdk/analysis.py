@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .detectors import SphereConfig, SphereTable, _sub_scores, build_sphere_table, distance_affine
+from .detectors import (SphereConfig, SphereTable, _prepared, _sub_scores, build_sphere_table,
+                        distance_affine)
 from .weights import WeightSet
 
 
@@ -128,9 +129,8 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     if candidates.size == 0:
         raise ValueError("candidate list must not be empty")
 
-    yf = np.asarray(y, dtype=np.float64)
-    base, coef = distance_affine(codebook, ws, rows=candidates)
-    d = base - coef @ yf
+    full = _prepared(ws, distance_affine, codebook)
+    d = full.base[candidates] - full.coef[candidates] @ np.asarray(y, dtype=np.float64)
     saturation = float(d.max()) + codebook.n_outputs * float(ws.w.mean())
 
     classes = _symbol_class(table.vectors, user, table.users)[candidates]

@@ -236,10 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _attach_negative_lists(argv) -> list:
     """Rewrite ``--snr-db -5,0`` as ``--snr-db=-5,0`` (likewise ``--y``):
     argparse reads a value that starts with a minus sign and is not a
-    plain number as an option."""
+    plain number (``-.5,0``, ``-inf``) as an option. Every option here is
+    ``--name`` or a dash and one letter, so any other value is rejoined."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--snr-db", "--y") and re.match(r"-\d", arg):
+        if (out and out[-1] in ("--snr-db", "--y") and arg.startswith("-")
+                and not re.fullmatch(r"--.*|-[A-Za-z]", arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -17,10 +17,11 @@ All distances are affine in the +/-1 observation: d_k(y) = base_k -
 coef_k . y. Every detector is therefore one :class:`Receiver`, the
 affine form (plus the table for the sphere decoder) prepared once per
 coherence block; ties always resolve to the smallest codeword index.
-The full-search ``detect_*`` functions keep the receiver they prepare
+The ``detect_*`` functions keep the full-search receiver they prepare
 in their weight set (or channel), one per form, and reuse it while the
-codebook stays the same; the arrays of those objects are read-only, so
-a kept receiver cannot go stale.
+codebook stays the same; ``detect_osd`` searches the kept distance form
+through its table. The arrays of those objects are read-only, so a kept
+receiver cannot go stale.
 """
 
 from __future__ import annotations
@@ -149,18 +150,13 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def distance_affine(codebook: Codebook, ws: WeightSet, columns=None, rows=None):
+def distance_affine(codebook: Codebook, ws: WeightSet, columns=None):
     """Affine form of the weighted Hamming distance, d_k(y) = base - coef @ y.
 
     ``columns`` restricts the distance to a slice of observation
-    positions (used for sub-codeword scoring). ``rows`` (an index array)
-    builds the form of only those codewords, in that order: row j of the
-    result is row ``rows[j]`` of the full form, bit for bit, at a cost of
-    O(len(rows) * 2N) instead of O(K * 2N).
+    positions (used for sub-codeword scoring).
     """
     c, w, wt = codebook.codewords, ws.w, ws.w_tilde
-    if rows is not None:
-        c, w, wt = c[rows], w[rows], wt[rows]
     if columns is not None:
         c, w, wt = c[:, columns], w[:, columns], wt[:, columns]
     diff = w - wt
@@ -220,11 +216,8 @@ class Receiver:
     scores by at most 2 (2N + 1) eps times the larger |base| of the
     rows being compared: all K for full search, the listed candidates
     of each observation for the sphere search. The tolerance is twice
-    that bound. Codewords that are not compared do not enter it, so a
-    sphere receiver and a full-search receiver built over one
-    observation's candidate rows (as :func:`detect_osd` does) apply the
-    same tolerance. The full-search tolerance is fixed when the receiver
-    is built.
+    that bound; codewords that are not compared do not enter it. The
+    full-search tolerance is fixed when the receiver is built.
     """
 
     base: np.ndarray
@@ -234,11 +227,12 @@ class Receiver:
     _full_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.table is not None:
-            _check_table(self.table, len(self.base), self.coef.shape[1])
         rel = 4 * (self.coef.shape[1] + 1) * np.finfo(np.float64).eps
         object.__setattr__(self, "_rel", rel)
-        object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
+        if self.table is None:  # the sphere search takes its tolerance per observation
+            object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
+        else:
+            _check_table(self.table, len(self.base), self.coef.shape[1])
 
     def _batch(self, obs) -> np.ndarray:
         obs = np.asarray(obs)  # converted to float64 block by block
@@ -426,14 +420,13 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Weighted-distance rule restricted to the assembled candidate list.
 
-    Builds the affine form of the listed codewords only, so a call costs
-    O(G * L * 2N), not O(K * 2N). The list is ascending, so ties still
-    go to the smallest codeword index.
+    Searches the listed rows of the distance form that ``ws`` keeps for
+    :func:`detect_mwd`: the first call on a weight set builds that form,
+    O(K * 2N), and later calls cost O(G * L * 2N). Ties go to the
+    smallest codeword index.
     """
-    _check_table(table, codebook.size, codebook.n_outputs)
-    cand = assemble_list(y, table)
-    r = _detect_one(Receiver(*distance_affine(codebook, ws, rows=cand)), y)
-    return DetectionResult(int(cand[r.index]), r.distance, r.list_len)
+    full = _prepared(ws, distance_affine, codebook)
+    return _detect_one(Receiver(full.base, full.coef, table), y)
 
 
 def sphere_table_to_bytes(table: SphereTable) -> bytes:

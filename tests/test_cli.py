@@ -149,18 +149,21 @@ def test_sphere_check_precedence(capsys, argv, message):
     ["llr", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--y", "1,1,1,1,1,1,1,1"],
 ])
 def test_non_finite_snr_is_a_usage_error(capsys, argv, value):
-    code, out, err = _run(capsys, argv + [f"--snr-db={value}"])
-    assert (code, out) == (2, "")
-    assert err == f"error: --snr-db values must be finite, got {value}\n"
+    for spelling in ([f"--snr-db={value}"], ["--snr-db", value]):
+        code, out, err = _run(capsys, argv + spelling)
+        assert (code, out) == (2, "")
+        assert err == f"error: --snr-db values must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["ser", "-U", "1", "-N", "1", "--snr-db", "-5,0", "--trials", "1", "--channels", "1"],
     ["llr", "-U", "1", "-N", "2", "--snr-db", "5", "--ns", "2", "--list-size", "1",
      "--y", "-1,1,1,-1"],
+    ["ser", "-U", "1", "-N", "1", "--snr-db", "-.5,0", "--trials", "1", "--channels", "1"],
 ])
 def test_list_value_with_leading_minus(capsys, argv):
-    # argparse takes "-5,0" for an option; the value must still reach its flag.
+    # argparse takes "-5,0" or "-.5,0" for an option; the value must
+    # still reach its flag.
     opt = argv.index("--snr-db" if argv[0] == "ser" else "--y")
     joined = argv[:opt] + [argv[opt] + "=" + argv[opt + 1]] + argv[opt + 2:]
     code, out, err = _run(capsys, argv)

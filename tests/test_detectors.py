@@ -381,19 +381,22 @@ class TestDetectOsd:
         assert r.list_len == len(assemble_list(y, sphere))
 
     def test_memory_scales_with_list_not_codebook(self):
-        # K = 4096, 2N = 64: one K x 2N float64 array is 2 MB, while the
-        # G * L = 32 listed rows need 16 KB.
+        # K = 4096, 2N = 64: the kept form is a 2 MB coef, built by the
+        # first call on the weight set; later calls gather the G * L = 32
+        # listed rows (16 KB), and detect_mwd reuses the same form.
         ch, table, cb = random_system(3, 32, "qam16", 0.3, seed=5)
         ws = compute_weights_approx(ch, table)
         sphere = build_sphere_table(cb, ws, SphereConfig(8, 4))
         y = quantize_sign(stream_rng(8, 0).standard_normal(cb.n_outputs))
-        tracemalloc.start()
-        try:
-            detect_osd(y, sphere, cb, ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 2**10
+        detect_osd(y, sphere, cb, ws)
+        for detect in (lambda: detect_osd(y, sphere, cb, ws), lambda: detect_mwd(y, cb, ws)):
+            tracemalloc.start()
+            try:
+                detect()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 2**10
 
     def test_tie_tolerance_comes_from_listed_rows(self):
         # Every pattern lists codewords 0 and 1. At y = [1, 1] they score
@@ -442,16 +445,20 @@ class TestDetectOsd:
 
 
 class TestPreparedFullSearch:
-    """The full-search detectors prepare their form once per weight set
-    (or channel) and codebook, and reuse it on later calls."""
+    """The detectors prepare their full-search form once per weight set
+    (or channel) and codebook, and reuse it on later calls; detect_osd
+    searches the kept distance form through its table, bit for bit as
+    the drivers' sphere receiver does."""
 
     @staticmethod
     def _fresh(cb, ch, ws):
         lb, lc = loglik_affine(cb, ch)
+        table = build_sphere_table(cb, ws, SphereConfig(4, 2))
         return [
             (Receiver(-lb, lc), lambda y: detect_mld(y, cb, ch), -1.0),
             (Receiver(*distance_affine(cb, ws)), lambda y: detect_mwd(y, cb, ws), 1.0),
             (Receiver(*_mismatch_affine(cb, ws)), lambda y: detect_mwd_high_snr(y, cb, ws), 1.0),
+            (Receiver(*distance_affine(cb, ws), table), lambda y: detect_osd(y, table, cb, ws), 1.0),
         ]
 
     def _assert_bitwise_equal(self, cb, ch, ws, obs):

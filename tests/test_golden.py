@@ -14,8 +14,8 @@ table was still ranked by a full stable sort; at 30 dB many sub-codewords
 score exactly alike, and 402 of its 2048 (group, pattern) lists tie at
 their 4th entry, so it pins the smallest-index tie rule at K=4096.
 ``llr_k4096_30db.csv`` holds the soft outputs (``compute_llrs``) of one
-observation at K=4096, written while they were still read from the
-affine form of the whole codebook. ``ser_all.json`` is the only file
+observation at K=4096; they are read from the affine form of the whole
+codebook, as when the file was written. ``ser_all.json`` is the only file
 that covers all five detectors, ``mwd-exact`` and ``mwd-hs`` among
 them; it was written before the drivers summed their per-channel
 results through one helper.
