@@ -71,11 +71,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     """Wilson score interval for a binomial rate; sane near 0 and 1."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+    return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -197,6 +199,8 @@ def validate_sep_config(cfg: ExperimentConfig) -> None:
 
 def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
     _check_common(cfg)
+    if cfg.time_slots < 1:
+        raise ConfigError("--td must be >= 1")
     if cfg.n_sub is None:
         raise ConfigError("--ns is required for the tradeoff sweep")
     if not cfg.list_sizes:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,14 @@ def test_sphere_check_precedence(capsys, argv, message):
     # Missing sphere flags, then --ns range, divisibility, each list size
     # in order, and only then the memory budget (at the longest list).
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("td", ["0", "-1"])
+def test_tradeoff_time_slots_below_one_is_a_usage_error(capsys, td):
+    # Refused before any channel is drawn, however many trials are asked for.
+    argv = ["tradeoff", "-U", "2", "-N", "8", "--ns", "8", "--list-sizes", "2,4",
+            "--trials", "20000", "--channels", "20", "--snr-db", "5", "--td", td]
+    assert _run(capsys, argv) == (2, "", "error: --td must be >= 1\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -332,3 +343,55 @@ class TestLlrCommand:
         code, _, err = _run(capsys, argv + ["--y", ",".join(["1"] * 8)])
         assert code == 2
         assert "qam4" in err
+
+
+# Run in a fresh interpreter, so that no earlier test has loaded scipy.
+_EXACT_TAIL_ONLY_LOADS_SCIPY = """
+import sys
+
+import obdk
+import obdk.cli
+from obdk import (
+    RealChannel, SphereConfig, build_codebook, build_sphere_table, compute_weights_approx,
+    detect_mwd, detect_osd, enumerate_symbol_vectors, make_constellation,
+    sample_rayleigh_channel, stream_rng, transmit_and_quantize,
+)
+from obdk.cli import cli_main
+
+system = ["-U", "2", "-N", "4", "--mod", "qam4", "--seed", "3"]
+sphere = ["--ns", "4", "--list-size", "2"]
+few = ["--trials", "20", "--channels", "1"]
+for argv in (
+    ["sep", *system, "--snr-db", "3", *sphere, *few],
+    ["bound", *system, "--snr-db", "3", *sphere, "--channels", "1"],
+    ["table-build", *system, "--snr-db", "5", *sphere, "--out", sys.argv[1]],
+    ["llr", *system, "--snr-db", "5", *sphere, "--y", "1,-1,1,-1,1,-1,1,-1"],
+    ["complexity", "--detector", "osd", "-U", "2", "-N", "4", "-K", "16", "--td", "1", *sphere],
+    ["ser", *system, "--snr-db", "3", "--detectors", "mwd,mwd-hs,osd", *sphere, *few],
+):
+    assert cli_main(argv) == 0, argv
+
+rng = stream_rng(7)
+ch = RealChannel.from_complex(sample_rayleigh_channel(4, 2, rng), 0.1)
+symbols = enumerate_symbol_vectors(make_constellation("qam4"), 2)
+codebook = build_codebook(ch, symbols)
+weights = compute_weights_approx(ch, symbols)
+table = build_sphere_table(codebook, weights, SphereConfig(n_sub=4, list_size=2))
+y = transmit_and_quantize(ch, symbols.vectors[5], rng)
+detect_osd(y, table, codebook, weights)
+detect_mwd(y, codebook, weights)
+assert "scipy" not in sys.modules, "scipy loaded without an exact-tail use"
+
+assert cli_main(["ser", *system, "--snr-db", "3", "--detectors", "mld", *few]) == 0
+assert "scipy.special" in sys.modules, "mld ran without the exact tail"
+"""
+
+
+def test_scipy_loads_only_for_the_exact_tail(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _EXACT_TAIL_ONLY_LOADS_SCIPY, str(tmp_path / "table.osd")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

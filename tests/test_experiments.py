@@ -74,6 +74,15 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    @pytest.mark.parametrize("successes", [-1, 11])
+    def test_rejects_successes_outside_trials(self, successes):
+        with pytest.raises(ValueError, match="successes"):
+            wilson_interval(successes, 10)
+
+    @pytest.mark.parametrize("successes", [0, 3, np.int64(3), 10])
+    def test_bounds_are_python_floats(self, successes):
+        assert [type(b) for b in wilson_interval(successes, 10)] == [float, float]
+
 
 class TestSerExperiment:
     def test_record_layout_and_ranges(self):
