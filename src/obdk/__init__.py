@@ -25,6 +25,7 @@ from .codebook import (
     make_constellation,
 )
 from .detectors import (
+    ConfigError,
     DetectionResult,
     Receiver,
     SphereConfig,
@@ -44,7 +45,6 @@ from .detectors import (
     write_sphere_table,
 )
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     ExperimentRecord,
     records_to_csv,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .detectors import (SphereConfig, SphereTable, _prepared, _sub_scores, build_sphere_table,
-                        distance_affine)
+from .detectors import (ConfigError, SphereConfig, SphereTable, _prepared, _sub_scores,
+                        build_sphere_table, distance_affine)
 from .weights import WeightSet
 
 
@@ -75,10 +75,10 @@ class ComplexityQuery:
 
     def __post_init__(self):
         if self.detector not in ("mld", "mwd", "osd"):
-            raise ValueError(f"unknown detector for complexity model: {self.detector!r}")
+            raise ConfigError(f"unknown detector for complexity model: {self.detector!r}")
         for field in (self.users, self.antennas, self.codebook_size, self.time_slots):
             if field < 1:
-                raise ValueError("all complexity parameters must be positive")
+                raise ConfigError("all complexity parameters must be positive")
 
 
 def complexity_model(q: ComplexityQuery) -> tuple[int, int]:
@@ -93,13 +93,10 @@ def complexity_model(q: ComplexityQuery) -> tuple[int, int]:
     if q.detector == "mwd":
         return 0, (4 * u + 14) * n * k * td
     if q.n_sub is None or q.list_size is None:
-        raise ValueError("the sphere decoder needs n_sub and list_size")
-    if q.n_sub < 1 or q.list_size < 1:
-        raise ValueError("n_sub and list_size must be positive")
-    if (2 * n) % q.n_sub:
-        raise ValueError("n_sub must divide 2N")
+        raise ConfigError("the sphere decoder needs n_sub and list_size")
+    groups = SphereConfig(q.n_sub, q.list_size).group_count(2 * n, k)
     pre = (1 << q.n_sub) * (4 * u + 14) * n * k
-    det = (2 * n * q.list_size // q.n_sub) * (4 * u + 14) * n * td
+    det = groups * q.list_size * (4 * u + 14) * n * td
     return pre, det
 
 

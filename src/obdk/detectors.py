@@ -46,24 +46,33 @@ BLOCK_VALUES = 1 << 19
 
 _TABLE_MAGIC = b"OSD1"
 
+class ConfigError(ValueError):
+    """Invalid configuration (maps to CLI exit code 2)."""
+
+
 @dataclass(frozen=True)
 class SphereConfig:
-    """Sub-vector dimension and per-pattern list size of the sphere decoder."""
+    """Sub-vector dimension and per-pattern list size of the sphere decoder.
+
+    Checks the sphere rules for every entry point, raising ConfigError:
+    n_sub in [1, :data:`MAX_SUBVECTOR_DIM`] on construction; n_sub
+    dividing 2N and L in [1, K) in :meth:`group_count`."""
 
     n_sub: int
     list_size: int
 
     def __post_init__(self):
-        if self.n_sub < 1 or self.list_size < 1:
-            raise ValueError("sub-vector dimension and list size must be >= 1")
-        if self.n_sub > MAX_SUBVECTOR_DIM:
-            raise ValueError(f"sub-vector dimension capped at {MAX_SUBVECTOR_DIM}")
+        if not 1 <= self.n_sub <= MAX_SUBVECTOR_DIM:
+            raise ConfigError(f"--ns must lie in [1, {MAX_SUBVECTOR_DIM}], got {self.n_sub}")
 
-    def group_count(self, n_outputs: int) -> int:
+    def group_count(self, n_outputs: int, k_total: int) -> int:
+        """G = 2N / n_sub for 2N = ``n_outputs`` and K = ``k_total`` codewords."""
         if n_outputs % self.n_sub:
-            raise ValueError(
-                f"sub-vector dimension {self.n_sub} must divide the observation length {n_outputs}"
+            raise ConfigError(
+                f"--ns {self.n_sub} must divide the observation length 2N = {n_outputs}"
             )
+        if not 1 <= self.list_size < k_total:
+            raise ConfigError(f"list size {self.list_size} must lie in [1, K) with K = {k_total}")
         return n_outputs // self.n_sub
 
 
@@ -83,7 +92,7 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class SphereTable:
-    """Per-pattern nearest sub-codeword lists, shape (G, 2^n_sub, L).
+    """Per-pattern nearest sub-codeword lists ``indices``, shape (G, 2^n_sub, L).
 
     Entry (g, p) lists the codeword indices (zero-based, ascending
     distance, ties by index) whose g-th sub-codeword is nearest to the
@@ -92,13 +101,19 @@ class SphereTable:
     """
 
     indices: np.ndarray
-    n_sub: int
-    list_size: int
     codebook_size: int
 
     @property
     def group_count(self) -> int:
         return self.indices.shape[0]
+
+    @property
+    def n_sub(self) -> int:
+        return self.indices.shape[1].bit_length() - 1
+
+    @property
+    def list_size(self) -> int:
+        return self.indices.shape[2]
 
     @property
     def n_outputs(self) -> int:
@@ -391,16 +406,11 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     paper's regime is L << K. At K = 4096 the passes beat a stable sort
     up to L of about 200.
     """
-    k_total = codebook.size
-    g_count = cfg.group_count(codebook.n_outputs)
-    if cfg.list_size >= k_total:
-        raise ValueError(
-            f"list size {cfg.list_size} must be smaller than the codebook size {k_total}"
-        )
+    g_count = cfg.group_count(codebook.n_outputs, codebook.size)
     table = np.empty((g_count, 1 << cfg.n_sub, cfg.list_size), dtype=np.uint32)
     for g, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
         table[g, rows] = _nearest(d, cfg.list_size)
-    return SphereTable(table, cfg.n_sub, cfg.list_size, k_total)
+    return SphereTable(table, codebook.size)
 
 
 def assemble_list(y, table: SphereTable) -> np.ndarray:
@@ -456,6 +466,7 @@ def sphere_table_from_bytes(data: bytes) -> SphereTable:
     g, n_sub, list_size, k_total = struct.unpack("<4I", data[4:head])
     if n_sub > MAX_SUBVECTOR_DIM:
         raise ValueError(f"sub-vector dimension {n_sub} in blob exceeds {MAX_SUBVECTOR_DIM}")
+    SphereConfig(n_sub, list_size).group_count(g * n_sub, k_total)
     count = g * (1 << n_sub) * list_size
     payload = np.frombuffer(data, dtype="<u4", offset=head)
     if len(payload) != count:
@@ -463,7 +474,7 @@ def sphere_table_from_bytes(data: bytes) -> SphereTable:
     if payload.size and payload.max() >= k_total:
         raise ValueError("table entry out of codebook range")
     indices = payload.reshape(g, 1 << n_sub, list_size).astype(np.uint32)
-    return SphereTable(indices, n_sub, list_size, k_total)
+    return SphereTable(indices, k_total)
 
 
 def write_sphere_table(table: SphereTable, path) -> None:

@@ -26,7 +26,7 @@ from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, sep_bou
 from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream_rng
 from .codebook import Codebook, build_codebook, enumerate_symbol_vectors, make_constellation
 from .detectors import (
-    MAX_SUBVECTOR_DIM,
+    ConfigError,
     Receiver,
     SphereConfig,
     build_sphere_table,
@@ -57,10 +57,6 @@ CSV_COLUMNS = (
 # sphere table. Larger systems fail in validation instead of being killed
 # for memory part way through.
 STATE_BUDGET_BYTES = 1 << 30
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
 def snr_db_to_sigma_sq(snr_db: float) -> float:
@@ -151,11 +147,11 @@ def _check_snr(snr: float) -> None:
 
 
 def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
-    """Reject sphere parameters that make no table of lists of each of
-    ``list_sizes`` (empty when there is no table), then a system whose
-    per-block state exceeds :data:`STATE_BUDGET_BYTES`, before anything
-    is enumerated: K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for
-    a table with lists of the longest L."""
+    """Reject missing sphere parameters, run the rules of :class:`SphereConfig`
+    for each of ``list_sizes`` in order (empty: no table), then reject a
+    per-block state above :data:`STATE_BUDGET_BYTES` before anything is
+    enumerated: K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for a
+    table with lists of the longest L."""
     two_n = 2 * cfg.antennas
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     need = k_total * two_n * (4 * 8 + 1)
@@ -164,14 +160,9 @@ def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
             raise ConfigError("--ns is required when the sphere decoder is selected")
         if None in list_sizes:
             raise ConfigError("--list-size is required when the sphere decoder is selected")
-        if not 1 <= cfg.n_sub <= MAX_SUBVECTOR_DIM:
-            raise ConfigError(f"--ns must lie in [1, {MAX_SUBVECTOR_DIM}], got {cfg.n_sub}")
-        if two_n % cfg.n_sub:
-            raise ConfigError(f"--ns {cfg.n_sub} must divide the observation length 2N = {two_n}")
         for lsz in list_sizes:
-            if not 1 <= lsz < k_total:
-                raise ConfigError(f"list size {lsz} must lie in [1, K) with K = {k_total}")
-        need += two_n // cfg.n_sub * (1 << cfg.n_sub) * max(list_sizes) * 4
+            groups = SphereConfig(cfg.n_sub, lsz).group_count(two_n, k_total)
+        need += groups * (1 << cfg.n_sub) * max(list_sizes) * 4
     if need > STATE_BUDGET_BYTES:
         raise ConfigError(
             f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
@@ -258,8 +249,7 @@ def _receivers(cb, ch: RealChannel, detectors):
             receivers.append(_prepared(ws, _mismatch_affine, cb))
         else:
             head = np.ascontiguousarray(longest.indices[..., :det.list_size])
-            receivers.append(Receiver(full.base, full.coef, replace(longest, indices=head,
-                                                                    list_size=det.list_size)))
+            receivers.append(Receiver(full.base, full.coef, replace(longest, indices=head)))
     return receivers, ws
 
 

@@ -220,8 +220,11 @@ class TestComplexityModel:
             complexity_model(ComplexityQuery("osd", 2, 8, 16, 1))
 
     def test_rejects_bad_divisor(self):
-        with pytest.raises(ValueError):
-            complexity_model(ComplexityQuery("osd", 2, 8, 16, 1, n_sub=3, list_size=2))
+        # n_sub = 3 does not divide 2N = 16; L = K and n_sub = 21 break
+        # the other sphere rules.
+        for n_sub, lsz in ((3, 2), (4, 16), (21, 2)):
+            with pytest.raises(ValueError):
+                complexity_model(ComplexityQuery("osd", 2, 8, 16, 1, n_sub=n_sub, list_size=lsz))
 
 
 class TestComputeLlrs:

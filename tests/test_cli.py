@@ -37,8 +37,26 @@ class TestComplexityCommand:
         code, _, err = _run(
             capsys, ["complexity", "--detector", "osd", "-U", "2", "-N", "8", "-K", "16", "--td", "1"]
         )
-        assert code == 1
+        assert code == 2
         assert "n_sub" in err
+
+    @pytest.mark.parametrize("change, message", [
+        (["--list-size", "99"], "list size 99 must lie in [1, K) with K = 16"),
+        (["--list-size", "0"], "list size 0 must lie in [1, K) with K = 16"),
+        (["--ns", "3"], "--ns 3 must divide the observation length 2N = 16"),
+        (["--ns", "30"], "--ns must lie in [1, 20], got 30"),
+        (["--td", "0"], "all complexity parameters must be positive"),
+        (["-N", "0"], "all complexity parameters must be positive"),
+        (["--ns", None], "the sphere decoder needs n_sub and list_size"),
+    ], ids=["list-size-99", "list-size-0", "ns-3", "ns-30", "td-0", "N-0", "no-ns"])
+    def test_bad_parameter_is_a_usage_error(self, capsys, change, message):
+        # The sphere rules of the simulation commands, and the same exit code.
+        argv = ["complexity", "--detector", "osd", "-U", "2", "-N", "8", "-K", "16", "--td", "1",
+                "--ns", "4", "--list-size", "2"]
+        flag, value = change
+        at = argv.index(flag)
+        argv[at:at + 2] = [] if value is None else [flag, value]
+        assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 FEW = ["--trials", "10", "--channels", "1"]

@@ -13,6 +13,9 @@ from scipy.special import ndtr
 
 from obdk import (
     Codebook,
+    ComplexityQuery,
+    ConfigError,
+    ExperimentConfig,
     RealChannel,
     Receiver,
     SphereConfig,
@@ -22,6 +25,7 @@ from obdk import (
     assemble_list,
     build_codebook,
     build_sphere_table,
+    complexity_model,
     compute_weights_approx,
     compute_weights_exact,
     detect_mld,
@@ -50,6 +54,7 @@ from obdk.detectors import (
     distance_affine,
     loglik_affine,
 )
+from obdk.experiments import validate_sep_config
 from conftest import example_system, random_system
 
 
@@ -409,7 +414,7 @@ class TestDetectOsd:
         w_tilde = np.array([[0.5, 0.5 + 1e-12], [0.5, 0.5], [1e6, 1e6], [1e6, 1e6]])
         cb = Codebook(codewords, enumerate_symbol_vectors(make_constellation("bpsk"), 2))
         ws = WeightSet("approx", w, w_tilde, 1.0)
-        sphere = SphereTable(np.tile(np.array([0, 1], dtype=np.uint32), (1, 4, 1)), 2, 2, 4)
+        sphere = SphereTable(np.tile(np.array([0, 1], dtype=np.uint32), (1, 4, 1)), 4)
         y = np.array([1, 1], dtype=np.int8)
         index, score, lens = Receiver(*distance_affine(cb, ws), sphere).detect(y[None])
         assert (index[0], lens[0]) == (1, 2)
@@ -554,6 +559,12 @@ class TestPreparedFullSearch:
             gc.enable()
 
 
+def _blob(groups, n_sub, list_size, k_total) -> bytes:
+    """A table blob with this header and a payload of the matching length."""
+    head = np.array([groups, n_sub, list_size, k_total], dtype="<u4").tobytes()
+    return b"OSD1" + head + bytes(4 * groups * (1 << n_sub) * list_size)
+
+
 class TestSphereTableSerialization:
     def _table(self):
         ch, table, cb = random_system(2, 4, "qam4", 0.9, seed=30)
@@ -608,6 +619,17 @@ class TestSphereTableSerialization:
         with pytest.raises(ValueError, match="sub-vector dimension"):
             sphere_table_from_bytes(head)
 
+    @pytest.mark.parametrize("n_sub, list_size, message", [
+        (0, 2, "--ns must lie in [1, 20], got 0"),
+        (4, 0, "list size 0 must lie in [1, K) with K = 16"),
+        (4, 16, "list size 16 must lie in [1, K) with K = 16"),
+    ], ids=["ns-0", "l-0", "l-16"])
+    def test_header_breaking_sphere_rules_rejected(self, n_sub, list_size, message):
+        # Well-formed blobs that no table build could have written.
+        with pytest.raises(ConfigError) as exc:
+            sphere_table_from_bytes(_blob(2, n_sub, list_size, 16))
+        assert str(exc.value) == message
+
     def test_lookup_identical_after_reload(self, tmp_path):
         ch, table, cb = random_system(2, 4, "qam4", 0.9, seed=30)
         ws = compute_weights_approx(ch, table)
@@ -619,6 +641,35 @@ class TestSphereTableSerialization:
         for _ in range(20):
             y = quantize_sign(rng.standard_normal(8))
             assert_array_equal(assemble_list(y, sphere), assemble_list(y, again))
+
+
+class TestSphereRules:
+    # 2N = 8, K = 16 throughout. ``groups`` is G in the blob header; None
+    # skips the blob reader: no header states 2N = 8 with n_sub = 3, and
+    # its own allocation cap answers n_sub > 20 first.
+    @pytest.mark.parametrize("n_sub, list_size, groups, message", [
+        (0, 2, 2, "--ns must lie in [1, 20], got 0"),
+        (21, 2, None, "--ns must lie in [1, 20], got 21"),
+        (3, 0, None, "--ns 3 must divide the observation length 2N = 8"),
+        (4, 0, 2, "list size 0 must lie in [1, K) with K = 16"),
+        (8, 16, 1, "list size 16 must lie in [1, K) with K = 16"),
+        (2, 99, 4, "list size 99 must lie in [1, K) with K = 16"),
+    ], ids=["ns-0", "ns-21", "ns-3", "l-0", "l-16", "l-99"])
+    def test_one_rule_one_text(self, n_sub, list_size, groups, message):
+        ch, table, cb = random_system(2, 4, "qam4", 0.9, seed=30)
+        ws = compute_weights_approx(ch, table)
+        checks = [
+            lambda: build_sphere_table(cb, ws, SphereConfig(n_sub, list_size)),
+            lambda: validate_sep_config(ExperimentConfig(2, 4, n_sub=n_sub, list_size=list_size)),
+            lambda: complexity_model(ComplexityQuery("osd", 2, 4, 16, 1, n_sub=n_sub,
+                                                     list_size=list_size)),
+        ]
+        if groups is not None:
+            checks.append(lambda: sphere_table_from_bytes(_blob(groups, n_sub, list_size, 16)))
+        for check in checks:
+            with pytest.raises(ConfigError) as exc:
+                check()
+            assert str(exc.value) == message
 
 
 # (scheme, users, antennas): K from 4 to 256, 2N from 4 to 8.
