@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .detectors import (ConfigError, SphereConfig, SphereTable, _prepared, _sub_scores,
-                        build_sphere_table, distance_affine)
+from .detectors import (ConfigError, SphereConfig, SphereTable, _check_signs, _prepared,
+                        _sub_scores, build_sphere_table, distance_affine)
 from .weights import WeightSet
 
 
@@ -115,7 +115,7 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     minus the minimum over its one classes, so a positive value favors
     bit one (positive real part for the odd bit, positive imaginary part
     for the even bit). A class with no candidates contributes the
-    saturation value max(dist) + 2N * mean(w).
+    saturation value max(dist) + 2N * mean(w). ``y`` must be +/-1.
     """
     table = codebook.symbols
     if table.constellation.scheme != "qam4":
@@ -125,9 +125,11 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise ValueError("candidate list must not be empty")
+    y = np.asarray(y, dtype=np.float64)
+    _check_signs(y)
 
     full = _prepared(ws, distance_affine, codebook)
-    d = full.base[candidates] - full.coef[candidates] @ np.asarray(y, dtype=np.float64)
+    d = full.base[candidates] - full.coef[candidates] @ y
     saturation = float(d.max()) + codebook.n_outputs * float(ws.w.mean())
 
     classes = _symbol_class(table.vectors, user, table.users)[candidates]

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-# Noise variances below this are treated as this value; lets noiseless
-# regressions run without dividing by zero.
+# Noise variances below this (SNR above 120 dB) are clamped to it;
+# sigma^2 = 0 itself is rejected.
 SIGMA_SQ_FLOOR = 1e-12
 
 
@@ -42,9 +42,12 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams are independent Philox keys, so workers can own disjoint
     streams (e.g. one per channel realization) and results do not depend
-    on how work is distributed.
+    on how work is distributed. ``seed`` must lie in [0, 2^64): the key
+    is built as uint64 words, so every such seed keys its own streams.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,6 @@ class ComplexChannel:
         if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
             raise ValueError("channel matrix contains non-finite entries")
         object.__setattr__(self, "entries", h)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .analysis import ComplexityQuery, complexity_model, compute_llrs
-from .detectors import SphereConfig, assemble_list, build_sphere_table, write_sphere_table
+from .detectors import assemble_list, write_sphere_table
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -63,6 +63,12 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mod", choices=("bpsk", "qam4", "qam16"), default="qam4",
                    help="per-user constellation")
     p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+
+
+def _add_sphere_args(p: argparse.ArgumentParser, required: bool = False) -> None:
+    p.add_argument("--ns", type=int, required=required, help="sphere sub-vector dimension")
+    p.add_argument("--list-size", type=int, required=required,
+                   help="sphere per-pattern list size")
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -128,29 +134,24 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
-def _build_single_channel(args):
+def _single_block(args, y=None):
     cfg = ExperimentConfig(
         users=args.users, antennas=args.antennas, modulation=args.mod,
         seed=args.seed, n_sub=args.ns, list_size=args.list_size,
     )
-    return single_block(cfg, args.snr_db)
+    return single_block(cfg, args.snr_db, y)
 
 
 def _cmd_table_build(args) -> int:
-    cb, ws = _build_single_channel(args)
-    table = build_sphere_table(cb, ws, SphereConfig(args.ns, args.list_size))
-    write_sphere_table(table, args.out)
+    write_sphere_table(_single_block(args)[2], args.out)
     return 0
 
 
 def _cmd_llr(args) -> int:
     if args.mod != "qam4":
         raise ConfigError("--mod must be qam4 for soft outputs")
-    cb, ws = _build_single_channel(args)
     y = np.asarray(args.y, dtype=np.int8)
-    if y.shape != (2 * args.antennas,):
-        raise ConfigError(f"--y must list {2 * args.antennas} entries, got {len(y)}")
-    table = build_sphere_table(cb, ws, SphereConfig(args.ns, args.list_size))
+    cb, ws, table = _single_block(args, y)
     candidates = assemble_list(y, table)
     rows = []
     for user in range(args.users):
@@ -177,14 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(p)
     p.add_argument("--detectors", type=_str_list, default=("mld", "mwd"),
                    help="comma-separated subset of mld,mwd-exact,mwd,mwd-hs,osd")
-    p.add_argument("--ns", type=int, default=None, help="sphere sub-vector dimension")
-    p.add_argument("--list-size", type=int, default=None, help="sphere per-pattern list size")
+    _add_sphere_args(p)
     p.set_defaults(func=_cmd_ser)
 
     p = sub.add_parser("sep", help="list-miss rate, loss rate, and analytic bound")
     _add_experiment_args(p)
-    p.add_argument("--ns", type=int, default=None, help="sphere sub-vector dimension")
-    p.add_argument("--list-size", type=int, default=None, help="sphere per-pattern list size")
+    _add_sphere_args(p)
     p.set_defaults(func=_cmd_sep)
 
     p = sub.add_parser("tradeoff", help="relative SER vs relative complexity sweep")
@@ -197,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="channel-averaged analytic list-miss bound")
     _add_experiment_args(p)
-    p.add_argument("--ns", type=int, default=None, help="sphere sub-vector dimension")
-    p.add_argument("--list-size", type=int, default=None, help="sphere per-pattern list size")
+    _add_sphere_args(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("complexity", help="real-multiplication counts per detector")
@@ -207,23 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--antennas", type=int, required=True)
     p.add_argument("-K", "--codebook-size", type=int, required=True)
     p.add_argument("--td", type=int, required=True, help="detection slots per coherence block")
-    p.add_argument("--ns", type=int, default=None)
-    p.add_argument("--list-size", type=int, default=None)
+    _add_sphere_args(p)
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("table-build", help="write a sphere-table binary for one seeded channel")
     _add_system_args(p)
     p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
-    p.add_argument("--ns", type=int, required=True)
-    p.add_argument("--list-size", type=int, required=True)
+    _add_sphere_args(p, required=True)
     p.add_argument("--out", required=True, help="output path for the table binary")
     p.set_defaults(func=_cmd_table_build)
 
     p = sub.add_parser("llr", help="per-user soft outputs for one observation")
     _add_system_args(p)
     p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
-    p.add_argument("--ns", type=int, required=True)
-    p.add_argument("--list-size", type=int, required=True)
+    _add_sphere_args(p, required=True)
     p.add_argument("--y", type=_sign_list, required=True,
                    help="comma-separated +/-1 observation of length 2N")
     p.add_argument("--out", default=None)

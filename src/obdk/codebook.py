@@ -24,13 +24,11 @@ class Constellation:
     """Unit-average-power constellation.
 
     ``complex_points`` are ordered ascending by real part, then imaginary
-    part. ``real_points`` are the per-axis levels (ascending); BPSK keeps
-    its imaginary axis pinned to zero.
+    part; BPSK keeps its imaginary axis pinned to zero.
     """
 
     scheme: str
     complex_points: np.ndarray
-    real_points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.complex_points, dtype=np.complex128)
@@ -38,7 +36,6 @@ class Constellation:
         if abs(power - 1.0) > 1e-12:
             raise ValueError(f"constellation average power is {power}, expected 1")
         object.__setattr__(self, "complex_points", pts)
-        object.__setattr__(self, "real_points", np.asarray(self.real_points, dtype=np.float64))
 
     @property
     def size(self) -> int:
@@ -55,7 +52,6 @@ def make_constellation(scheme: str) -> Constellation:
     key = scheme.lower()
     if key == "bpsk":
         points = np.array([-1.0 + 0j, 1.0 + 0j])
-        levels = np.array([-1.0, 1.0])
     elif key == "qam4":
         levels = np.array([-1.0, 1.0]) / np.sqrt(2.0)
         points = np.array([r + 1j * i for r in levels for i in levels])
@@ -64,7 +60,7 @@ def make_constellation(scheme: str) -> Constellation:
         points = np.array([r + 1j * i for r in levels for i in levels])
     else:
         raise ValueError(f"unsupported constellation scheme: {scheme!r}")
-    return Constellation(key, points, levels)
+    return Constellation(key, points)
 
 
 @dataclass(frozen=True)

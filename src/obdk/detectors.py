@@ -255,6 +255,7 @@ class Receiver:
             raise ValueError(
                 f"observations have shape {obs.shape}, expected (T, {self.coef.shape[1]})"
             )
+        _check_signs(obs)
         return obs
 
     @property
@@ -303,6 +304,14 @@ class Receiver:
             return best, scores[rows, best], np.full(len(obs), len(self.base))
         lens = 1 + np.count_nonzero(np.diff(cand, axis=1), axis=1)
         return cand[rows, best], scores[rows, best], lens
+
+
+def _check_signs(obs: np.ndarray) -> None:
+    """Reject observations with an entry other than +/-1: the affine
+    forms score a 0/1 bit form or a scaled copy without complaint, but
+    the result is not a distance."""
+    if np.count_nonzero(np.abs(obs) != 1):
+        raise ValueError("observation entries must be +1 or -1")
 
 
 def _check_table(table: SphereTable, size: int, n_outputs: int) -> None:
@@ -421,10 +430,8 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (table.n_outputs,):
         raise ValueError(f"observation has shape {y.shape}, expected ({table.n_outputs},)")
-    listed = _candidates(table, y[None, :])[0]  # already sorted
-    first = np.ones(len(listed), dtype=bool)
-    first[1:] = listed[1:] != listed[:-1]
-    return listed[first]
+    _check_signs(y)
+    return np.unique(_candidates(table, y[None, :])[0])
 
 
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:

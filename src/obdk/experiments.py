@@ -136,14 +136,12 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if not cfg.snr_db:
         raise ConfigError("--snr-db must list at least one value")
     for snr in cfg.snr_db:
-        _check_snr(snr)
+        if not math.isfinite(snr):
+            raise ConfigError(f"--snr-db values must be finite, got {snr}")
     if cfg.modulation not in ("bpsk", "qam4", "qam16"):
         raise ConfigError(f"unsupported --mod value: {cfg.modulation!r}")
-
-
-def _check_snr(snr: float) -> None:
-    if not math.isfinite(snr):
-        raise ConfigError(f"--snr-db values must be finite, got {snr}")
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ConfigError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
 
 
 def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
@@ -212,14 +210,22 @@ def _channel_setup(cfg: ExperimentConfig, channel_index: int):
     return rng, ch0.entries, cb
 
 
-def single_block(cfg: ExperimentConfig, snr_db: float):
-    """Codebook and approximate weights of channel 0 at one SNR, for the
-    commands that work on a single block (sphere-table build, soft outputs)."""
-    _check_sphere(cfg, (cfg.list_size,))
-    _check_snr(snr_db)
+def single_block(cfg: ExperimentConfig, snr_db: float, y=None):
+    """Codebook, approximate weights and sphere table of channel 0 at one
+    SNR, for the commands that work on a single block (sphere-table
+    build, soft outputs).
+
+    ``cfg`` is checked as a one-point ``sep`` run at ``snr_db``, then the
+    observation ``y``, when given, against the length 2N; both before
+    anything is drawn or enumerated.
+    """
+    cfg = replace(cfg, snr_db=(snr_db,))
+    validate_sep_config(cfg)
+    if y is not None and len(y) != 2 * cfg.antennas:
+        raise ConfigError(f"--y must list {2 * cfg.antennas} entries, got {len(y)}")
     _, h_entries, cb = _channel_setup(cfg, 0)
-    ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr_db))
-    return cb, compute_weights_approx(ch, cb.symbols)
+    ws = compute_weights_approx(RealChannel(h_entries, snr_db_to_sigma_sq(snr_db)), cb.symbols)
+    return cb, ws, build_sphere_table(cb, ws, SphereConfig(cfg.n_sub, cfg.list_size))
 
 
 def _receivers(cb, ch: RealChannel, detectors):
@@ -254,11 +260,12 @@ def _receivers(cb, ch: RealChannel, detectors):
 
 
 def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
-                 width: int):
+                 receivers):
     """Uniform codeword indices and their one-bit observations (float64
     +/-1, the form receivers score), yielded as (indices, observations)
-    per row block of :func:`_row_blocks`, for work that holds ``width``
-    values per trial (at least the 2N of an observation).
+    per row block of :func:`_row_blocks`, sized for the widest
+    :attr:`Receiver.row_values` of ``receivers`` (at least the 2N of an
+    observation).
 
     Draws all ``trials`` indices first (8 bytes a trial), then the noise
     of each block in turn, from ``rng``; the stream is consumed as by one
@@ -266,7 +273,8 @@ def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.rando
     Consume every block before ``rng`` is used again.
     """
     ks = rng.integers(0, codebook.size, size=trials)
-    for rows in _row_blocks(trials, max(width, ch.n_outputs)):
+    width = max(ch.n_outputs, *(rx.row_values for rx in receivers))
+    for rows in _row_blocks(trials, width):
         noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
         noise *= ch.noise_std_per_component
         obs = quantize_sign(codebook.symbols.vectors[ks[rows]] @ ch.entries.T + noise)
@@ -280,8 +288,7 @@ def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.ran
     absent from its list, a loss a trial that the full search gets right
     and the sphere decoder gets wrong."""
     misses = losses = list_sum = 0
-    width = max(full.row_values, sphere.row_values)
-    for ks, obs in _draw_trials(ch, codebook, trials, rng, width):
+    for ks, obs in _draw_trials(ch, codebook, trials, rng, (full, sphere)):
         cand = sphere.candidates(obs)
         full_hat, _, _ = full.detect(obs)
         sphere_hat, _, lens = sphere.detect(obs, cand)
@@ -305,8 +312,7 @@ def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dic
         ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
         receivers = _receivers(cb, ch, detectors)[0]
         totals = np.zeros((len(receivers), 2), dtype=np.int64)
-        width = max(rx.row_values for rx in receivers)
-        for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, width):
+        for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, receivers):
             for i, rx in enumerate(receivers):
                 winners, _, lens = rx.detect(obs)
                 totals[i] += np.count_nonzero(winners != ks), lens.sum()

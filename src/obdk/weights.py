@@ -67,14 +67,10 @@ class WeightSet:
     ``w`` and ``w_tilde`` are read-only copies of the arrays passed in.
     """
 
-    flavor: str
     w: np.ndarray
     w_tilde: np.ndarray
-    sigma_sq: float
 
     def __post_init__(self):
-        if self.flavor not in ("exact", "approx"):
-            raise ValueError(f"unknown weight flavor: {self.flavor!r}")
         object.__setattr__(self, "w", readonly_copy(self.w))
         object.__setattr__(self, "w_tilde", readonly_copy(self.w_tilde))
         if self.w.shape != self.w_tilde.shape:
@@ -85,10 +81,6 @@ class WeightSet:
             raise ValueError("weights must be finite")
 
     __reduce__ = reduce_by_fields
-
-    @property
-    def n_codewords(self) -> int:
-        return self.w.shape[0]
 
     @property
     def n_outputs(self) -> int:
@@ -111,7 +103,7 @@ def compute_weights_exact(ch: RealChannel, s: SymbolTable) -> WeightSet:
     arg = np.sqrt(2.0 / ch.noise_variance) * np.abs(_inner_products(ch, s))
     w = -log_q(arg)
     w_tilde = np.maximum(-log_q(-arg), _WEIGHT_FLOOR)
-    return WeightSet("exact", w, w_tilde, ch.noise_variance)
+    return WeightSet(w, w_tilde)
 
 
 def compute_weights_approx(ch: RealChannel, s: SymbolTable) -> WeightSet:
@@ -125,4 +117,4 @@ def compute_weights_approx(ch: RealChannel, s: SymbolTable) -> WeightSet:
     s2 = ch.noise_variance
     w = (2.0 * Q_HAT_A / s2) * absp * absp + (Q_HAT_B * np.sqrt(2.0 / s2)) * absp + np.log(2.0)
     w_tilde = np.maximum(-np.log1p(-np.exp(-w)), _WEIGHT_FLOOR)
-    return WeightSet("approx", w, w_tilde, s2)
+    return WeightSet(w, w_tilde)

@@ -85,7 +85,7 @@ def _unlisted_mass(cb, ws, table):
 
 def _constant_weights(cb, flip):
     shape = cb.codewords.shape
-    return WeightSet("approx", np.full(shape, -np.log(flip)), np.full(shape, -np.log(1 - flip)), 1.0)
+    return WeightSet(np.full(shape, -np.log(flip)), np.full(shape, -np.log(1 - flip)))
 
 
 # Exact weights; then constant weights (flip probability 0.2) on a K=16
@@ -234,7 +234,7 @@ class TestComputeLlrs:
         # so all four symbol classes tie and both soft outputs vanish.
         from obdk import WeightSet
 
-        ws = WeightSet("approx", np.full((4, 8), 0.7), np.full((4, 8), 0.7), 1.0)
+        ws = WeightSet(np.full((4, 8), 0.7), np.full((4, 8), 0.7))
         y = cb.codewords[0]
         odd, even = compute_llrs(y, np.arange(4), cb, ws, 0)
         assert odd == pytest.approx(0.0, abs=1e-12)

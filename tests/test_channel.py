@@ -150,3 +150,19 @@ class TestRealChannelValidation:
     def test_noise_variance_floor(self):
         ch = RealChannel(np.ones((2, 2)), 1e-30)
         assert ch.noise_variance == 1e-12
+
+
+class TestStreamRng:
+    def test_seeds_above_two_to_the_63_keep_their_low_bits(self):
+        a = stream_rng(2**63).standard_normal(4)
+        b = stream_rng(2**63 + 5).standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_largest_seed_is_not_seed_zero(self):
+        assert not np.array_equal(stream_rng(2**64 - 1).standard_normal(4),
+                                  stream_rng(0).standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            stream_rng(seed)

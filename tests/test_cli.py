@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from obdk import read_sphere_table
-from obdk.cli import cli_main
+import obdk.experiments
+from obdk.cli import build_parser, cli_main
 
 
 def _run(capsys, argv):
@@ -200,6 +203,49 @@ def test_list_value_with_leading_minus(capsys, argv):
     assert _run(capsys, joined) == (0, out, "")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ["ser", "-U", "2", "-N", "4", *FEW],
+    ["table-build", "-U", "2", "-N", "4", "--snr-db", "5", "--ns", "4", "--list-size", "2",
+     "--out", os.devnull],
+])
+def test_seed_outside_64_bits_is_a_usage_error(capsys, argv, seed):
+    # Before, -1 and 2^64 keyed the streams of seed 0.
+    assert _run(capsys, argv + ["--seed", seed]) == (
+        2, "", f"error: --seed must lie in [0, 2^64), got {seed}\n")
+
+
+@pytest.mark.parametrize("dims", [["-U", "2", "-N", "0"], ["-U", "0", "-N", "4"]])
+@pytest.mark.parametrize("command", [
+    ["table-build", "--out", os.devnull],
+    ["llr", "--y", "1,1,1,1,1,1,1,1"],
+])
+def test_single_block_commands_check_dimensions_first(capsys, command, dims):
+    # table-build and llr are checked as a one-point sep run: the common
+    # checks come before the sphere rules and the observation length.
+    argv = [command[0], *dims, "--snr-db", "5", "--ns", "4", "--list-size", "2", *command[1:]]
+    assert _run(capsys, argv) == (2, "", "error: --users and --antennas must be >= 1\n")
+
+
+def _readme_commands() -> list:
+    """Each ``obdk ...`` command of README.md's ``sh`` blocks, its
+    backslash continuations joined, split into arguments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("obdk ")]
+
+
+def test_readme_commands_parse():
+    # Catches flag drift between README.md and the parser without running
+    # the sweeps; every subcommand is shown at least once.
+    commands = _readme_commands()
+    for argv in commands:
+        build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {
+        "ser", "sep", "tradeoff", "bound", "complexity", "table-build", "llr"}
+
+
 SMALL_SER = [
     "ser", "-U", "2", "-N", "4", "--mod", "qam4", "--snr-db", "0,6",
     "--detectors", "mld,mwd,osd", "--ns", "4", "--list-size", "2",
@@ -350,6 +396,14 @@ class TestLlrCommand:
         code, _, err = _run(capsys, self.BASE + ["--y", "1,-1,1"])
         assert code == 2
         assert "--y" in err
+
+    def test_wrong_length_observation_draws_nothing(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(obdk.experiments, "_channel_setup", refuse)
+        assert _run(capsys, self.BASE + ["--y", "1,-1,1"]) == (
+            2, "", "error: --y must list 8 entries, got 3\n")
 
     def test_non_sign_entries_rejected(self, capsys):
         code, _, err = _run(capsys, self.BASE + ["--y", "1,0,1,1,1,1,1,1"])

@@ -19,11 +19,11 @@ class TestMakeConstellation:
     def test_qam4_unit_power(self):
         c = make_constellation("qam4")
         assert abs(np.mean(np.abs(c.complex_points) ** 2) - 1.0) < 1e-12
-        assert set(np.round(c.real_points, 12)) == set(np.round([-1 / np.sqrt(2), 1 / np.sqrt(2)], 12))
+        assert set(np.round(np.unique(c.complex_points.real), 12)) == set(np.round([-1 / np.sqrt(2), 1 / np.sqrt(2)], 12))
 
     def test_qam16_levels(self):
         c = make_constellation("qam16")
-        assert_allclose(c.real_points, np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0))
+        assert_allclose(np.unique(c.complex_points.real), np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0))
         assert abs(np.mean(np.abs(c.complex_points) ** 2) - 1.0) < 1e-12
         assert c.size == 16
 

@@ -26,6 +26,7 @@ from obdk import (
     build_codebook,
     build_sphere_table,
     complexity_model,
+    compute_llrs,
     compute_weights_approx,
     compute_weights_exact,
     detect_mld,
@@ -186,7 +187,7 @@ class TestDetectMwdHighSnr:
 
     def test_unit_weights_reduce_to_hamming(self):
         _, table, cb = example_system(1.0)
-        ws = WeightSet("approx", np.ones((4, 4)), np.full((4, 4), 1e-12), 1.0)
+        ws = WeightSet(np.ones((4, 4)), np.full((4, 4), 1e-12))
         y = np.array([1, -1, 1, 1], dtype=np.int8)
         hamming = np.sum(cb.codewords != y[None, :], axis=1)
         assert detect_mwd_high_snr(y, cb, ws).index == int(np.argmin(hamming))
@@ -262,7 +263,7 @@ class TestBuildSphereTable:
         # pattern; the stored order must put the smaller index first.
         table = SymbolTable(np.array([[1.0, 1.0], [1.0, 1.0]]), make_constellation("bpsk"), 1)
         cb = Codebook(np.array([[1, -1], [1, -1]], dtype=np.int8), table)
-        ws = WeightSet("approx", np.full((2, 2), 2.0), np.full((2, 2), 0.1), 1.0)
+        ws = WeightSet(np.full((2, 2), 2.0), np.full((2, 2), 0.1))
         sphere = build_sphere_table(cb, ws, SphereConfig(2, 1))
         assert np.all(sphere.indices[0, :, 0] == 0)
 
@@ -413,7 +414,7 @@ class TestDetectOsd:
         w = np.array([[1.0, 1.0], [1.0, 1.0], [1e6, 1e6], [1e6, 1e6]])
         w_tilde = np.array([[0.5, 0.5 + 1e-12], [0.5, 0.5], [1e6, 1e6], [1e6, 1e6]])
         cb = Codebook(codewords, enumerate_symbol_vectors(make_constellation("bpsk"), 2))
-        ws = WeightSet("approx", w, w_tilde, 1.0)
+        ws = WeightSet(w, w_tilde)
         sphere = SphereTable(np.tile(np.array([0, 1], dtype=np.uint32), (1, 4, 1)), 4)
         y = np.array([1, 1], dtype=np.int8)
         index, score, lens = Receiver(*distance_affine(cb, ws), sphere).detect(y[None])
@@ -498,7 +499,7 @@ class TestPreparedFullSearch:
         w = compute_weights_approx(ch, table)
         w_src, wt_src = np.array(w.w), np.array(w.w_tilde)
         c_src, h_src = np.array(cb.codewords), np.array(ch.entries)
-        ws = WeightSet("approx", w_src, wt_src, w.sigma_sq)
+        ws = WeightSet(w_src, wt_src)
         own_cb = Codebook(c_src, table)
         own_ch = RealChannel(h_src, ch.noise_variance)
         for held in (ws.w, ws.w_tilde, own_cb.codewords, own_ch.entries, table.vectors):
@@ -842,3 +843,42 @@ class TestRowBlocks:
 
     def test_empty_batch_gives_one_empty_block(self):
         assert list(_row_blocks(0, 64)) == [slice(0, 0)]
+
+
+class TestObservationSigns:
+    """Every entry point refuses an observation with an entry other than
+    +/-1; the affine forms would score its 0/1 bit form or a scaled copy
+    as if it were a distance."""
+
+    @staticmethod
+    def _entry_points():
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=25)
+        ws = compute_weights_approx(ch, table)
+        sphere = build_sphere_table(cb, ws, SphereConfig(4, 2))
+        full_rx = Receiver(*distance_affine(cb, ws))
+        sphere_rx = Receiver(*distance_affine(cb, ws), sphere)
+        return {
+            "detect_mld": lambda y: detect_mld(y, cb, ch),
+            "detect_mwd": lambda y: detect_mwd(y, cb, ws),
+            "detect_mwd_high_snr": lambda y: detect_mwd_high_snr(y, cb, ws),
+            "detect_osd": lambda y: detect_osd(y, sphere, cb, ws),
+            "assemble_list": lambda y: assemble_list(y, sphere),
+            "Receiver.detect": lambda y: full_rx.detect(y[None]),
+            "sphere Receiver.detect": lambda y: sphere_rx.detect(y[None]),
+            "Receiver.candidates": lambda y: sphere_rx.candidates(y[None]),
+            "compute_llrs": lambda y: compute_llrs(y, np.arange(cb.size), cb, ws, 0),
+        }
+
+    @pytest.mark.parametrize("entry", [
+        "detect_mld", "detect_mwd", "detect_mwd_high_snr", "detect_osd", "assemble_list",
+        "Receiver.detect", "sphere Receiver.detect", "Receiver.candidates", "compute_llrs",
+    ])
+    @pytest.mark.parametrize("form", ["bits", "tripled"])
+    def test_rejected_on_every_entry_point(self, entry, form):
+        call = self._entry_points()[entry]
+        y = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
+        bad = (1 - y) // 2 if form == "bits" else 3 * y
+        call(y)  # the +/-1 form is accepted
+        for dtype in (np.int8, np.float64):
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                call(bad.astype(dtype))
