@@ -133,7 +133,10 @@ def quantize_sign(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("cannot quantize non-finite values")
-    return np.where(a >= 0.0, 1, -1).astype(np.int8)
+    out = np.array(a >= 0.0, dtype=np.int8)  # -0.0 >= 0.0, so it maps to +1
+    out *= 2
+    out -= 1
+    return out
 
 
 def transmit_and_quantize(ch: RealChannel, x, rng: np.random.Generator) -> np.ndarray:

@@ -213,17 +213,22 @@ class Receiver:
     Scores are affine in the observation, s_k(y) = base_k - coef_k . y;
     the lowest score wins and ties go to the smallest codeword index.
     With a sphere table the search is restricted to the looked-up
-    candidates, whose scores cost O(T * G * L) for a batch of T
-    observations. Build it once per block and call :meth:`detect` on
-    every batch.
+    candidates. A batch of T observations gathers and contracts their
+    (T, G * L, 2N) coefficients, O(T * G * L * 2N), unless K <= G * L * 2N:
+    then it reads the listed scores off one (T, K) GEMM, whose scores
+    take no more memory than that gather and whose T * K * 2N
+    multiply-adds run in BLAS. Build it once per block and call
+    :meth:`detect` on every batch.
 
     A batch is scored in the row blocks of :func:`_row_blocks`, at most
     :data:`BLOCK_VALUES` values of its largest temporary each
-    (:attr:`row_values` per row: K scores for full search, the G * L * 2N
-    gathered coefficients for the sphere search, whose candidates are
-    also looked up block by block). Peak memory is then bounded whatever
-    the batch size, and no block has a single row, so every observation
-    gets the same bits wherever it sits in the batch.
+    (:attr:`row_values` per row: K scores for full search, G * L * 2N
+    for the sphere search, whose candidates are also looked up block by
+    block). Peak memory is then bounded whatever the batch size, and no
+    block has a single row, so every observation gets the same bits
+    wherever it sits in the batch. Each score block is laid out along
+    its longer side (column-major when it has more rows than columns),
+    so the min, tie and argmax passes run across contiguous memory.
 
     Scores closer than rounding can tell apart tie. Every affine form
     here has sum_i |coef_ki| <= |base_k|, so one computed score errs by
@@ -260,14 +265,18 @@ class Receiver:
 
     @property
     def row_values(self) -> int:
-        """Values per observation of the largest temporary of :meth:`detect`."""
+        """Values per observation of the largest temporary of :meth:`detect`:
+        K scores for full search; for the sphere search the G * L * 2N
+        gathered coefficients, or the K <= G * L * 2N scores read in
+        their place."""
         if self.table is None:
             return len(self.base)
         return self.table.group_count * self.table.list_size * self.coef.shape[1]
 
     def candidates(self, obs) -> np.ndarray:
         """(T, G*L) looked-up sub-list indices of a (T, 2N) batch, sorted
-        per row; an index listed by several groups repeats."""
+        per row and laid out along the longer side; an index listed by
+        several groups repeats."""
         return _candidates(self.table, self._batch(obs))
 
     def detect(self, obs, cand=None):
@@ -281,6 +290,13 @@ class Receiver:
             return blocks[0]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
+    def _scores(self, obs) -> np.ndarray:
+        """(rows, K) scores of a block, one array laid out along its
+        longer side."""
+        shape = (len(obs), len(self.base))
+        scores = np.matmul(obs, self.coef.T, out=np.empty(shape, order=_long_side(*shape)))
+        return np.subtract(self.base, scores, out=scores)  # one (rows, K) array, not two
+
     def _decide(self, obs, cand):
         obs = np.asarray(obs, dtype=np.float64)
         if cand is None and self.table is not None:
@@ -289,15 +305,15 @@ class Receiver:
         # only up to cancellation noise, which GEMM, GEMV and the gathered
         # product round differently; see the class docstring for the bound.
         if cand is None:
-            scores = obs @ self.coef.T
-            np.subtract(self.base, scores, out=scores)  # one (rows, K) array, not two
-            tol = self._full_tol
+            scores, tol = self._scores(obs), self._full_tol
         else:
-            listed = self.base[cand]
-            scores = listed - np.einsum("tcn,tn->tc", self.coef[cand], obs)
-            # Column-major: numpy reduces a short last axis row by row,
-            # several times slower than across the columns of this layout.
-            tol = self._rel * np.abs(listed, order="F").max(axis=1, keepdims=True)
+            listed = self.base[cand]  # laid out as cand
+            if len(self.base) <= self.row_values:  # (rows, K) no larger than the gather
+                scores = np.take_along_axis(self._scores(obs), cand, axis=1)
+            else:
+                scores = np.subtract(listed, np.einsum("tcn,tn->tc", self.coef[cand], obs),
+                                     out=np.empty_like(listed))
+            tol = self._rel * np.abs(listed).max(axis=1, keepdims=True)
         best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
         rows = np.arange(len(obs))
         if cand is None:
@@ -323,13 +339,22 @@ def _check_table(table: SphereTable, size: int, n_outputs: int) -> None:
         )
 
 
+def _long_side(n_rows: int, width: int) -> str:
+    """Memory order of an (n_rows, width) block: column-major when it is
+    taller than wide. numpy reduces a short last axis row by row, several
+    times slower than across the columns of a column-major block."""
+    return "F" if n_rows > width else "C"
+
+
 def _candidates(table: SphereTable, obs: np.ndarray) -> np.ndarray:
     trials = len(obs)
     g_count, n_patterns, list_size = table.indices.shape
     signs = obs.reshape(trials, g_count, table.n_sub) < 0
     pats = signs @ (1 << np.arange(table.n_sub)) + n_patterns * np.arange(g_count)
     rows = table.indices.reshape(-1, list_size)[pats]
-    return np.sort(rows.reshape(trials, -1), axis=1).astype(np.int64)
+    width = g_count * list_size
+    return np.sort(rows.reshape(trials, width), axis=1).astype(
+        np.int64, order=_long_side(trials, width))
 
 
 def _detect_one(rx: Receiver, y) -> DetectionResult:

@@ -289,6 +289,7 @@ def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.ran
     and the sphere decoder gets wrong."""
     misses = losses = list_sum = 0
     for ks, obs in _draw_trials(ch, codebook, trials, rng, (full, sphere)):
+        # Column-major when taller than wide, so np.any runs across columns.
         cand = sphere.candidates(obs)
         full_hat, _, _ = full.detect(obs)
         sphere_hat, _, lens = sphere.detect(obs, cand)

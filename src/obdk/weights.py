@@ -82,10 +82,6 @@ class WeightSet:
 
     __reduce__ = reduce_by_fields
 
-    @property
-    def n_outputs(self) -> int:
-        return self.w.shape[1]
-
 
 def _inner_products(ch: RealChannel, s: SymbolTable) -> np.ndarray:
     if s.vectors.shape[1] != ch.n_inputs:

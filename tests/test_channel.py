@@ -78,6 +78,14 @@ class TestQuantizeSign:
 
     def test_zero_maps_to_plus_one(self):
         assert_array_equal(quantize_sign([0.0]), [1])
+        assert_array_equal(quantize_sign([-0.0]), [1])  # -0.0 >= 0.0
+
+    @pytest.mark.parametrize("shape", [(), (5,), (40, 6)])
+    def test_int8_in_the_input_shape(self, shape):
+        v = stream_rng(7, 0).standard_normal(shape)
+        out = quantize_sign(v)
+        assert isinstance(out, np.ndarray) and out.dtype == np.int8 and out.shape == shape
+        assert_array_equal(out, np.where(v >= 0.0, 1, -1))
 
     def test_small_magnitudes(self):
         assert_array_equal(quantize_sign([-0.0001, 0.0001]), [-1, 1])

@@ -39,6 +39,7 @@ from obdk import (
     pattern_signs,
     quantize_sign,
     read_sphere_table,
+    snr_db_to_sigma_sq,
     sphere_table_from_bytes,
     sphere_table_to_bytes,
     stream_rng,
@@ -701,6 +702,74 @@ def _receivers_and_detectors(ch, cb, cfg):
         (Receiver(*_mismatch_affine(cb, ws)), lambda y: detect_mwd_high_snr(y, cb, ws), 1.0),
         (Receiver(*distance_affine(cb, ws), table), lambda y: detect_osd(y, table, cb, ws), 1.0),
     ], table
+
+
+def _gathered_sphere_search(rx, obs):
+    """Reference sphere search: the listed rows' coefficients gathered,
+    (T, G*L, 2N), and contracted by einsum, the arithmetic that every
+    sphere list used before small codebooks read one (T, K) GEMM."""
+    obs = np.asarray(obs, dtype=np.float64)
+    cand = np.ascontiguousarray(rx.candidates(obs))
+    listed = rx.base[cand]
+    scores = listed - np.einsum("tcn,tn->tc", rx.coef[cand], obs)
+    tol = rx._rel * np.abs(listed).max(axis=1, keepdims=True)
+    best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
+    rows = np.arange(len(obs))
+    lens = np.array([len(np.unique(listed_row)) for listed_row in cand])
+    return cand[rows, best], scores[rows, best], lens
+
+
+def _assert_sphere_scorings_agree(ch, cb, cfg):
+    ws = compute_weights_approx(ch, cb.symbols)
+    rx = Receiver(*distance_affine(cb, ws), build_sphere_table(cb, ws, cfg))
+    obs = _all_observations(cb.n_outputs)
+    index, score, lens = rx.detect(obs)
+    ref_index, ref_score, ref_lens = _gathered_sphere_search(rx, obs)
+    assert_array_equal(index, ref_index)
+    assert_array_equal(lens, ref_lens)
+    # Each scoring errs by at most (2N + 1) eps |base_k| (see Receiver).
+    bound = 2 * (cb.n_outputs + 1) * np.finfo(np.float64).eps * np.abs(rx.base[index])
+    assert np.all(np.abs(score - ref_score) <= bound)
+    return cb.size <= rx.row_values  # whether the receiver took the (T, K) GEMM
+
+
+class TestSphereScorings:
+    """A sphere list reads its scores off one (T, K) GEMM when K <= G*L*2N,
+    and gathers the listed coefficients otherwise; both decide as the
+    gathered reference does."""
+
+    @PROPERTY_SETTINGS
+    @given(system=sphere_systems())
+    def test_equal_to_the_gathered_reference(self, system):
+        _assert_sphere_scorings_agree(*system)
+
+    # 30 dB: the match weights vanish against the mismatch weights, so the
+    # scores of every exact match cancel to about 0, the near-ties that
+    # GEMM and einsum could round apart.
+    @pytest.mark.parametrize("scheme, users, antennas, cfg, gemm", [
+        ("qam4", 2, 4, SphereConfig(4, 2), True),     # K = 16 <= 2 * 2 * 8
+        ("qam4", 2, 4, SphereConfig(8, 1), False),    # K = 16 > 1 * 1 * 8
+        ("qam16", 2, 2, SphereConfig(1, 64), True),   # K = 256 <= 4 * 64 * 4
+        ("qam16", 2, 2, SphereConfig(2, 5), False),   # K = 256 > 2 * 5 * 4
+    ])
+    def test_equal_at_high_snr(self, scheme, users, antennas, cfg, gemm):
+        ch, _, cb = random_system(users, antennas, scheme, snr_db_to_sigma_sq(30.0), seed=31)
+        assert _assert_sphere_scorings_agree(ch, cb, cfg) == gemm
+
+    def test_small_codebook_reads_one_gemm(self):
+        # K = 16, 2N = 16, G * L = 8: the 2000 x 8 x 16 gathered
+        # coefficients would take 2 MB; the (T, K) scores take 256 KB.
+        ch, table, cb = random_system(2, 8, "qam4", 0.3, seed=1)
+        ws = compute_weights_approx(ch, table)
+        rx = Receiver(*distance_affine(cb, ws), build_sphere_table(cb, ws, SphereConfig(8, 4)))
+        obs = quantize_sign(stream_rng(9, 0).standard_normal((2000, cb.n_outputs)))
+        tracemalloc.start()
+        try:
+            rx.detect(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(obs) * 8 * cb.n_outputs * 8
 
 
 class TestReceiverProperties:
