@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +72,9 @@ def _add_sphere_args(p: argparse.ArgumentParser, required: bool = False) -> None
                    help="sphere per-pattern list size")
 
 
-def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+def _add_experiment_args(p: argparse.ArgumentParser, run) -> None:
+    """Flags every Monte-Carlo command shares, and ``run`` as its driver."""
+    p.set_defaults(func=partial(_cmd_experiment, run))
     _add_system_args(p)
     p.add_argument("--snr-db", type=_float_list, default=(0.0, 5.0, 10.0),
                    help="comma-separated SNR grid in dB (SNR = 1/sigma^2)")
@@ -83,41 +86,17 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
-def _config_from_args(args, **fields) -> ExperimentConfig:
-    return ExperimentConfig(
-        users=args.users,
-        antennas=args.antennas,
-        modulation=args.mod,
-        snr_db=args.snr_db,
-        n_sub=args.ns,
-        list_size=getattr(args, "list_size", None),
-        trials=args.trials,
-        channels=args.channels,
-        seed=args.seed,
+def _cmd_experiment(run, args) -> int:
+    """Run one Monte-Carlo command and write its records; the fields that
+    only some commands declare are read from ``args`` when present."""
+    own = ("list_size", "detectors", "list_sizes", "time_slots")
+    cfg = ExperimentConfig(
+        users=args.users, antennas=args.antennas, modulation=args.mod, snr_db=args.snr_db,
+        n_sub=args.ns, trials=args.trials, channels=args.channels, seed=args.seed,
         workers=resolve_workers(args.workers),
-        **fields,
+        **{name: getattr(args, name) for name in own if hasattr(args, name)},
     )
-
-
-def _cmd_ser(args) -> int:
-    cfg = _config_from_args(args, detectors=args.detectors)
-    write_records(run_ser_experiment(cfg), args.out, args.fmt)
-    return 0
-
-
-def _cmd_sep(args) -> int:
-    write_records(run_sep_experiment(_config_from_args(args)), args.out, args.fmt)
-    return 0
-
-
-def _cmd_tradeoff(args) -> int:
-    cfg = _config_from_args(args, list_sizes=args.list_sizes, time_slots=args.td)
-    write_records(run_tradeoff_sweep(cfg), args.out, args.fmt)
-    return 0
-
-
-def _cmd_bound(args) -> int:
-    write_records(run_bound_sweep(_config_from_args(args)), args.out, args.fmt)
+    write_records(run(cfg), args.out, args.fmt)
     return 0
 
 
@@ -175,29 +154,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ser", help="symbol-error-rate sweep with paired noise")
-    _add_experiment_args(p)
+    _add_experiment_args(p, run_ser_experiment)
     p.add_argument("--detectors", type=_str_list, default=("mld", "mwd"),
                    help="comma-separated subset of mld,mwd-exact,mwd,mwd-hs,osd")
     _add_sphere_args(p)
-    p.set_defaults(func=_cmd_ser)
 
     p = sub.add_parser("sep", help="list-miss rate, loss rate, and analytic bound")
-    _add_experiment_args(p)
+    _add_experiment_args(p, run_sep_experiment)
     _add_sphere_args(p)
-    p.set_defaults(func=_cmd_sep)
 
     p = sub.add_parser("tradeoff", help="relative SER vs relative complexity sweep")
-    _add_experiment_args(p)
+    _add_experiment_args(p, run_tradeoff_sweep)
     p.add_argument("--ns", type=int, required=True, help="sphere sub-vector dimension")
     p.add_argument("--list-sizes", type=_int_list, required=True,
                    help="comma-separated list sizes to sweep")
-    p.add_argument("--td", type=int, default=4096, help="detection slots per coherence block")
-    p.set_defaults(func=_cmd_tradeoff)
+    p.add_argument("--td", type=int, default=4096, dest="time_slots", metavar="TD",
+                   help="detection slots per coherence block")
 
     p = sub.add_parser("bound", help="channel-averaged analytic list-miss bound")
-    _add_experiment_args(p)
+    _add_experiment_args(p, run_bound_sweep)
     _add_sphere_args(p)
-    p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("complexity", help="real-multiplication counts per detector")
     p.add_argument("--detector", choices=("mld", "mwd", "osd"), required=True)

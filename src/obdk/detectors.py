@@ -498,12 +498,14 @@ def sphere_table_from_bytes(data: bytes) -> SphereTable:
     g, n_sub, list_size, k_total = struct.unpack("<4I", data[4:head])
     if n_sub > MAX_SUBVECTOR_DIM:
         raise ValueError(f"sub-vector dimension {n_sub} in blob exceeds {MAX_SUBVECTOR_DIM}")
+    if g < 1:
+        raise ValueError("sphere-table blob has no groups")
     SphereConfig(n_sub, list_size).group_count(g * n_sub, k_total)
     count = g * (1 << n_sub) * list_size
     payload = np.frombuffer(data, dtype="<u4", offset=head)
     if len(payload) != count:
         raise ValueError(f"expected {count} table entries, found {len(payload)}")
-    if payload.size and payload.max() >= k_total:
+    if payload.max() >= k_total:
         raise ValueError("table entry out of codebook range")
     indices = payload.reshape(g, 1 << n_sub, list_size).astype(np.uint32)
     return SphereTable(indices, k_total)

@@ -76,15 +76,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count; the OBDK_THREADS environment variable overrides."""
+def resolve_workers(requested: int) -> int:
+    """Worker count; the OBDK_THREADS environment variable overrides.
+    Either below 1 is a ConfigError naming it."""
+    if requested < 1:
+        raise ConfigError(f"--workers must be >= 1, got {requested}")
     env = os.environ.get("OBDK_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"OBDK_THREADS must be an integer, got {env!r}") from exc
-    return max(1, int(requested) if requested else 1)
+    try:
+        workers = requested if env is None else int(env)
+    except ValueError as exc:
+        raise ConfigError(f"OBDK_THREADS must be an integer, got {env!r}") from exc
+    if workers < 1:
+        raise ConfigError(f"OBDK_THREADS must be >= 1, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,8 @@ def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.rando
     for rows in _row_blocks(trials, width):
         noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
         noise *= ch.noise_std_per_component
-        obs = quantize_sign(codebook.symbols.vectors[ks[rows]] @ ch.entries.T + noise)
-        yield ks[rows], obs.astype(np.float64)
+        noise += codebook.symbols.vectors[ks[rows]] @ ch.entries.T
+        yield ks[rows], quantize_sign(noise).astype(np.float64)
 
 
 def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
@@ -303,62 +307,55 @@ def _clamped_bound(inputs: SepBoundInputs) -> float:
     return float(min(1.0, max(0.0, sep_bound(inputs))))
 
 
-def _detect_channel(detectors, cfg: ExperimentConfig, channel_index: int) -> dict:
+def _detect_block(detectors, cfg: ExperimentConfig, rng: np.random.Generator, cb: Codebook,
+                  ch: RealChannel) -> tuple:
     """(errors, summed list length) of each receiver of ``detectors`` (see
-    :func:`_receivers`), keyed by (receiver position, SNR position); every
-    receiver sees the same observations."""
+    :func:`_receivers`) in turn, flattened; every receiver sees the same
+    observations."""
+    receivers = _receivers(cb, ch, detectors)[0]
+    totals = np.zeros((len(receivers), 2), dtype=np.int64)
+    for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, receivers):
+        for i, rx in enumerate(receivers):
+            winners, _, lens = rx.detect(obs)
+            totals[i] += np.count_nonzero(winners != ks), lens.sum()
+    return tuple(totals.ravel().tolist())
+
+
+def _sep_block(cfg: ExperimentConfig, rng: np.random.Generator, cb: Codebook,
+               ch: RealChannel) -> tuple:
+    """(misses, losses, summed list length, clamped bound)."""
+    (full, narrowed), ws = _receivers(cb, ch, ("mwd", SphereConfig(cfg.n_sub, cfg.list_size)))
+    counts = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
+    return (*counts, _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)))
+
+
+def _bound_block(cfg: ExperimentConfig, _rng, cb: Codebook, ch: RealChannel) -> tuple:
+    """(clamped bound,); draws nothing."""
+    ws = compute_weights_approx(ch, cb.symbols)
+    return (_clamped_bound(SepBoundInputs.build(cb, ws, SphereConfig(cfg.n_sub, cfg.list_size))),)
+
+
+def _channel_sweep(block, cfg: ExperimentConfig, channel_index: int) -> list:
+    """``block(cfg, rng, codebook, channel)`` of one channel draw at each
+    SNR of ``cfg`` in order, the trials continuing one generator stream."""
     rng, h_entries, cb = _channel_setup(cfg, channel_index)
-    out = {}
-    for j, snr in enumerate(cfg.snr_db):
-        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        receivers = _receivers(cb, ch, detectors)[0]
-        totals = np.zeros((len(receivers), 2), dtype=np.int64)
-        for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, receivers):
-            for i, rx in enumerate(receivers):
-                winners, _, lens = rx.detect(obs)
-                totals[i] += np.count_nonzero(winners != ks), lens.sum()
-        for i, (errors, list_sum) in enumerate(totals.tolist()):
-            out[i, j] = (errors, list_sum)
-    return out
+    return [block(cfg, rng, cb, RealChannel(h_entries, snr_db_to_sigma_sq(snr)))
+            for snr in cfg.snr_db]
 
 
-def _sep_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
-    """(misses, losses, summed list length, clamped bound) per SNR position."""
-    rng, h_entries, cb = _channel_setup(cfg, channel_index)
-    sphere = SphereConfig(cfg.n_sub, cfg.list_size)
-    out = {}
-    for j, snr in enumerate(cfg.snr_db):
-        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        (full, narrowed), ws = _receivers(cb, ch, ("mwd", sphere))
-        counts = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
-        out[j] = (*counts, _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)))
-    return out
-
-
-def _bound_channel(cfg: ExperimentConfig, channel_index: int) -> dict:
-    """(clamped bound,) per SNR position."""
-    _, h_entries, cb = _channel_setup(cfg, channel_index)
-    sphere = SphereConfig(cfg.n_sub, cfg.list_size)
-    out = {}
-    for j, snr in enumerate(cfg.snr_db):
-        ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-        ws = compute_weights_approx(ch, cb.symbols)
-        out[j] = (_clamped_bound(SepBoundInputs.build(cb, ws, sphere)),)
-    return out
-
-
-def _channel_totals(worker, cfg: ExperimentConfig) -> dict:
-    """Run the per-channel worker, which returns {key: tuple of numbers},
-    over all channel indices; each key's tuples summed elementwise in
-    channel order."""
+def _channel_totals(block, cfg: ExperimentConfig) -> list:
+    """(SNR, totals) for each SNR of ``cfg`` in order: the tuples of
+    :func:`_channel_sweep` over every channel index, in ``cfg.workers``
+    processes, summed elementwise in channel order."""
+    sweep = partial(_channel_sweep, block, cfg)
     if cfg.workers <= 1:
-        partials = [worker(cfg, ci) for ci in range(cfg.channels)]
+        partials = [sweep(ci) for ci in range(cfg.channels)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            partials = list(pool.map(partial(worker, cfg), range(cfg.channels)))
-    return {key: tuple(map(sum, zip(*(p[key] for p in partials)))) for key in partials[0]}
+            partials = list(pool.map(sweep, range(cfg.channels)))
+    return [(snr, tuple(map(sum, zip(*point)))) for snr, point in zip(cfg.snr_db, zip(*partials))]
 
 
 def _rate_record(cfg: ExperimentConfig, name: str, snr, errors: int, list_sum: int,
@@ -378,9 +375,9 @@ def run_ser_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Paired symbol-error-rate sweep; one record per (detector, SNR)."""
     validate_ser_config(cfg)
     dets = [SphereConfig(cfg.n_sub, cfg.list_size) if d == "osd" else d for d in cfg.detectors]
-    totals = _channel_totals(partial(_detect_channel, dets), cfg)
-    return [_rate_record(cfg, det, snr, *totals[i, j])
-            for i, det in enumerate(cfg.detectors) for j, snr in enumerate(cfg.snr_db)]
+    totals = _channel_totals(partial(_detect_block, dets), cfg)
+    return [_rate_record(cfg, det, snr, *point[2 * i:2 * i + 2])
+            for i, det in enumerate(cfg.detectors) for snr, point in totals]
 
 
 def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -392,10 +389,8 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     clamped to [0, 1]).
     """
     validate_sep_config(cfg)
-    totals = _channel_totals(_sep_channel, cfg)
     records = []
-    for j, snr in enumerate(cfg.snr_db):
-        misses, losses, list_sum, bound_sum = totals[j]
+    for snr, (misses, losses, list_sum, bound_sum) in _channel_totals(_sep_block, cfg):
         records += [_rate_record(cfg, "sep", snr, misses, list_sum),
                     _rate_record(cfg, "p_loss", snr, losses, list_sum),
                     _bound_record(cfg, snr, bound_sum)]
@@ -406,8 +401,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Channel-averaged analytic list-miss bound alone (no simulation);
     one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
     validate_sep_config(cfg)
-    totals = _channel_totals(_bound_channel, cfg)
-    return [_bound_record(cfg, snr, *totals[j]) for j, snr in enumerate(cfg.snr_db)]
+    return [_bound_record(cfg, snr, *point) for snr, point in _channel_totals(_bound_block, cfg)]
 
 
 def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -421,17 +415,16 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """
     validate_tradeoff_config(cfg)
     dets = ["mld", *(SphereConfig(cfg.n_sub, lsz) for lsz in cfg.list_sizes)]
-    totals = _channel_totals(partial(_detect_channel, dets), cfg)
+    totals = _channel_totals(partial(_detect_block, dets), cfg)
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     _, mld_mults = complexity_model(
         ComplexityQuery("mld", cfg.users, cfg.antennas, k_total, cfg.time_slots)
     )
     records = []
-    for j, snr in enumerate(cfg.snr_db):
-        mld_errors, mld_sum = totals[0, j]
+    for snr, (mld_errors, mld_sum, *spheres) in totals:
         records.append(_rate_record(cfg, "mld", snr, mld_errors, mld_sum))
-        for i, lsz in enumerate(cfg.list_sizes, start=1):
-            errors, list_sum = totals[i, j]
+        for i, lsz in enumerate(cfg.list_sizes):
+            errors, list_sum = spheres[2 * i:2 * i + 2]
             pre, det = complexity_model(
                 ComplexityQuery("osd", cfg.users, cfg.antennas, k_total, cfg.time_slots,
                                 n_sub=cfg.n_sub, list_size=lsz)

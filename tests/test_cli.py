@@ -255,6 +255,10 @@ SMALL_BOUND = [
     "bound", "-U", "2", "-N", "4", "--snr-db", "0,5", "--ns", "4", "--list-size", "2",
     "--channels", "3", "--seed", "7",
 ]
+SMALL_TRADEOFF = [
+    "tradeoff", "-U", "2", "-N", "4", "--snr-db", "0,6", "--ns", "4", "--list-sizes", "1,2",
+    "--trials", "200", "--channels", "3", "--seed", "7", "--format", "json",
+]
 
 
 class TestSerCommand:
@@ -266,7 +270,7 @@ class TestSerCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_flag_does_not_change_output(self, capsys, tmp_path):
-        for argv in (SMALL_SER, SMALL_BOUND):
+        for argv in (SMALL_SER, SMALL_BOUND, SMALL_TRADEOFF):
             a, b = tmp_path / "a.csv", tmp_path / "b.csv"
             assert cli_main(argv + ["--out", str(a), "--workers", "1"]) == 0
             assert cli_main(argv + ["--out", str(b), "--workers", "2"]) == 0
@@ -286,6 +290,19 @@ class TestSerCommand:
         code, _, err = _run(capsys, SMALL_SER)
         assert code == 2
         assert "OBDK_THREADS" in err
+
+    @pytest.mark.parametrize("env, flag, name, value", [
+        ("0", [], "OBDK_THREADS", 0),
+        ("-3", [], "OBDK_THREADS", -3),
+        (None, ["--workers", "0"], "--workers", 0),
+        (None, ["--workers", "-3"], "--workers", -3),
+    ])
+    def test_worker_count_below_one(self, capsys, monkeypatch, env, flag, name, value):
+        monkeypatch.delenv("OBDK_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("OBDK_THREADS", env)
+        assert _run(capsys, SMALL_SER + flag) == (
+            2, "", f"error: {name} must be >= 1, got {value}\n")
 
     def test_stdout_csv(self, capsys):
         code, out, _ = _run(capsys, SMALL_SER)

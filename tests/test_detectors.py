@@ -621,6 +621,12 @@ class TestSphereTableSerialization:
         with pytest.raises(ValueError, match="sub-vector dimension"):
             sphere_table_from_bytes(head)
 
+    def test_zero_groups_rejected(self):
+        # Would load as an empty table whose every list is empty.
+        head = b"OSD1" + np.array([0, 4, 2, 16], dtype="<u4").tobytes()
+        with pytest.raises(ValueError, match="no groups"):
+            sphere_table_from_bytes(head)
+
     @pytest.mark.parametrize("n_sub, list_size, message", [
         (0, 2, "--ns must lie in [1, 20], got 0"),
         (4, 0, "list size 0 must lie in [1, K) with K = 16"),
