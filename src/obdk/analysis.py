@@ -115,17 +115,24 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     minus the minimum over its one classes, so a positive value favors
     bit one (positive real part for the odd bit, positive imaginary part
     for the even bit). A class with no candidates contributes the
-    saturation value max(dist) + 2N * mean(w). ``y`` must be +/-1.
+    saturation value max(dist) + 2N * mean(w). ``y`` must be +/-1 of
+    length 2N, and ``candidates`` a non-empty 1-D integer array of indices
+    in [0, K).
     """
     table = codebook.symbols
     if table.constellation.scheme != "qam4":
         raise ValueError("soft outputs are defined for the qam4 constellation only")
     if not 0 <= user < table.users:
         raise ValueError(f"user index {user} out of range")
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = np.asarray(candidates)
     if candidates.size == 0:
         raise ValueError("candidate list must not be empty")
+    if (candidates.ndim != 1 or not np.issubdtype(candidates.dtype, np.integer)
+            or candidates.min() < 0 or candidates.max() >= codebook.size):
+        raise ValueError(f"candidates must be a 1-D integer array in [0, {codebook.size})")
     y = np.asarray(y, dtype=np.float64)
+    if y.shape != (codebook.n_outputs,):
+        raise ValueError(f"observation has shape {y.shape}, expected ({codebook.n_outputs},)")
     _check_signs(y)
 
     full = _prepared(ws, distance_affine, codebook)

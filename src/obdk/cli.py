@@ -10,19 +10,19 @@ observation). Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
 
 from .analysis import ComplexityQuery, complexity_model, compute_llrs
+from .codebook import SCHEMES
 from .detectors import assemble_list, write_sphere_table
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    _write_text,
     resolve_workers,
     run_bound_sweep,
     run_sep_experiment,
@@ -30,44 +30,47 @@ from .experiments import (
     run_tradeoff_sweep,
     single_block,
     write_records,
+    write_rows,
 )
 
-
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+LLR_COLUMNS = ("user", "llr_odd", "llr_even")
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _str_list(text: str) -> tuple:
-    return tuple(v.strip() for v in text.split(",") if v.strip() != "")
+def _list_of(convert, noun: str):
+    """Argument type: comma-separated ``convert`` values, empty ones dropped."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(v.strip()) for v in text.split(",") if v.strip() != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from exc
+    return parse
 
 
 def _sign_list(text: str) -> tuple:
-    vals = _int_list(text)
+    vals = _list_of(int, "integers")(text)
     if any(v not in (-1, 1) for v in vals):
         raise argparse.ArgumentTypeError("observation entries must be +1 or -1")
     return vals
 
 
+def _from_flags(cls, args):
+    """``cls`` built from the parsed flags named after its fields; a flag
+    left out keeps the field's default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+
+
 def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-U", "--users", type=int, required=True, help="number of uplink users")
     p.add_argument("-N", "--antennas", type=int, required=True, help="number of receive antennas")
-    p.add_argument("--mod", choices=("bpsk", "qam4", "qam16"), default="qam4",
-                   help="per-user constellation")
-    p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+    p.add_argument("--mod", dest="modulation", choices=SCHEMES, help="per-user constellation")
+    p.add_argument("--seed", type=int, help="64-bit experiment seed")
 
 
 def _add_sphere_args(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--ns", type=int, required=required, help="sphere sub-vector dimension")
+    p.add_argument("--ns", dest="n_sub", metavar="NS", type=int, required=required,
+                   help="sphere sub-vector dimension")
     p.add_argument("--list-size", type=int, required=required,
                    help="sphere per-pattern list size")
 
@@ -76,36 +79,34 @@ def _add_experiment_args(p: argparse.ArgumentParser, run) -> None:
     """Flags every Monte-Carlo command shares, and ``run`` as its driver."""
     p.set_defaults(func=partial(_cmd_experiment, run))
     _add_system_args(p)
-    p.add_argument("--snr-db", type=_float_list, default=(0.0, 5.0, 10.0),
+    p.add_argument("--snr-db", type=_list_of(float, "numbers"),
                    help="comma-separated SNR grid in dB (SNR = 1/sigma^2)")
-    p.add_argument("--trials", type=int, default=10_000, help="trials per (channel, SNR) point")
-    p.add_argument("--channels", type=int, default=100, help="number of channel realizations")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (OBDK_THREADS overrides)")
+    p.add_argument("--trials", type=int, help="trials per (channel, SNR) point")
+    p.add_argument("--channels", type=int, help="number of channel realizations")
+    p.add_argument("--workers", type=int, help="worker processes (OBDK_THREADS overrides)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
+def _add_block_args(p: argparse.ArgumentParser, func) -> None:
+    """Flags of the commands that work on one block, and ``func`` as their handler."""
+    p.set_defaults(func=func)
+    _add_system_args(p)
+    p.add_argument("--snr-db", dest="snr", metavar="SNR_DB", type=float, required=True,
+                   help="operating SNR in dB")
+    _add_sphere_args(p, required=True)
+
+
 def _cmd_experiment(run, args) -> int:
-    """Run one Monte-Carlo command and write its records; the fields that
-    only some commands declare are read from ``args`` when present."""
-    own = ("list_size", "detectors", "list_sizes", "time_slots")
-    cfg = ExperimentConfig(
-        users=args.users, antennas=args.antennas, modulation=args.mod, snr_db=args.snr_db,
-        n_sub=args.ns, trials=args.trials, channels=args.channels, seed=args.seed,
-        workers=resolve_workers(args.workers),
-        **{name: getattr(args, name) for name in own if hasattr(args, name)},
-    )
-    write_records(run(cfg), args.out, args.fmt)
+    """Run one Monte-Carlo command and write its records; only these
+    commands read OBDK_THREADS."""
+    cfg = _from_flags(ExperimentConfig, args)
+    write_records(run(replace(cfg, workers=resolve_workers(cfg.workers))), args.out, args.fmt)
     return 0
 
 
 def _cmd_complexity(args) -> int:
-    query = ComplexityQuery(
-        args.detector, args.users, args.antennas, args.codebook_size, args.td,
-        n_sub=args.ns, list_size=args.list_size,
-    )
-    pre, det = complexity_model(query)
+    pre, det = complexity_model(_from_flags(ComplexityQuery, args))
     if pre:
         print(pre, det)
     else:
@@ -113,36 +114,21 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
-def _single_block(args, y=None):
-    cfg = ExperimentConfig(
-        users=args.users, antennas=args.antennas, modulation=args.mod,
-        seed=args.seed, n_sub=args.ns, list_size=args.list_size,
-    )
-    return single_block(cfg, args.snr_db, y)
-
-
 def _cmd_table_build(args) -> int:
-    write_sphere_table(_single_block(args)[2], args.out)
+    write_sphere_table(single_block(_from_flags(ExperimentConfig, args), args.snr)[2], args.out)
     return 0
 
 
 def _cmd_llr(args) -> int:
-    if args.mod != "qam4":
+    cfg = _from_flags(ExperimentConfig, args)
+    if cfg.modulation != "qam4":
         raise ConfigError("--mod must be qam4 for soft outputs")
     y = np.asarray(args.y, dtype=np.int8)
-    cb, ws, table = _single_block(args, y)
+    cb, ws, table = single_block(cfg, args.snr, y)
     candidates = assemble_list(y, table)
-    rows = []
-    for user in range(args.users):
-        odd, even = compute_llrs(y, candidates, cb, ws, user)
-        rows.append({"user": user, "llr_odd": odd, "llr_even": even})
-    if args.fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = "user,llr_odd,llr_even\n" + "".join(
-            f"{r['user']},{r['llr_odd']!r},{r['llr_even']!r}\n" for r in rows
-        )
-    _write_text(text, args.out)
+    rows = [dict(zip(LLR_COLUMNS, (user, *compute_llrs(y, candidates, cb, ws, user))))
+            for user in range(cfg.users)]
+    write_rows(rows, LLR_COLUMNS, args.out, args.fmt)
     return 0
 
 
@@ -152,54 +138,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="One-bit MIMO detection experiments (SNR in dB of 1/sigma^2 per user)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag left out sets nothing, so the config it fills keeps its default.
+    command = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("ser", help="symbol-error-rate sweep with paired noise")
+    p = command("ser", help="symbol-error-rate sweep with paired noise")
     _add_experiment_args(p, run_ser_experiment)
-    p.add_argument("--detectors", type=_str_list, default=("mld", "mwd"),
+    p.add_argument("--detectors", type=_list_of(str, "names"),
                    help="comma-separated subset of mld,mwd-exact,mwd,mwd-hs,osd")
     _add_sphere_args(p)
 
-    p = sub.add_parser("sep", help="list-miss rate, loss rate, and analytic bound")
+    p = command("sep", help="list-miss rate, loss rate, and analytic bound")
     _add_experiment_args(p, run_sep_experiment)
     _add_sphere_args(p)
 
-    p = sub.add_parser("tradeoff", help="relative SER vs relative complexity sweep")
+    p = command("tradeoff", help="relative SER vs relative complexity sweep")
     _add_experiment_args(p, run_tradeoff_sweep)
-    p.add_argument("--ns", type=int, required=True, help="sphere sub-vector dimension")
-    p.add_argument("--list-sizes", type=_int_list, required=True,
+    p.add_argument("--ns", dest="n_sub", metavar="NS", type=int, required=True,
+                   help="sphere sub-vector dimension")
+    p.add_argument("--list-sizes", type=_list_of(int, "integers"), required=True,
                    help="comma-separated list sizes to sweep")
-    p.add_argument("--td", type=int, default=4096, dest="time_slots", metavar="TD",
+    p.add_argument("--td", dest="time_slots", metavar="TD", type=int,
                    help="detection slots per coherence block")
 
-    p = sub.add_parser("bound", help="channel-averaged analytic list-miss bound")
+    p = command("bound", help="channel-averaged analytic list-miss bound")
     _add_experiment_args(p, run_bound_sweep)
     _add_sphere_args(p)
 
-    p = sub.add_parser("complexity", help="real-multiplication counts per detector")
+    p = command("complexity", help="real-multiplication counts per detector")
     p.add_argument("--detector", choices=("mld", "mwd", "osd"), required=True)
     p.add_argument("-U", "--users", type=int, required=True)
     p.add_argument("-N", "--antennas", type=int, required=True)
     p.add_argument("-K", "--codebook-size", type=int, required=True)
-    p.add_argument("--td", type=int, required=True, help="detection slots per coherence block")
+    p.add_argument("--td", dest="time_slots", metavar="TD", type=int, required=True,
+                   help="detection slots per coherence block")
     _add_sphere_args(p)
     p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("table-build", help="write a sphere-table binary for one seeded channel")
-    _add_system_args(p)
-    p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
-    _add_sphere_args(p, required=True)
+    p = command("table-build", help="write a sphere-table binary for one seeded channel")
+    _add_block_args(p, _cmd_table_build)
     p.add_argument("--out", required=True, help="output path for the table binary")
-    p.set_defaults(func=_cmd_table_build)
 
-    p = sub.add_parser("llr", help="per-user soft outputs for one observation")
-    _add_system_args(p)
-    p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
-    _add_sphere_args(p, required=True)
+    p = command("llr", help="per-user soft outputs for one observation")
+    _add_block_args(p, _cmd_llr)
     p.add_argument("--y", type=_sign_list, required=True,
                    help="comma-separated +/-1 observation of length 2N")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    p.set_defaults(func=_cmd_llr)
 
     return parser
 

@@ -16,7 +16,8 @@ from .channel import RealChannel, quantize_sign, readonly_copy, reduce_by_fields
 # Hard cap on the number of enumerated symbol vectors.
 MAX_CODEBOOK_SIZE = 1 << 24
 
-_SCHEMES = ("bpsk", "qam4", "qam16")
+# Constellation schemes that make_constellation builds.
+SCHEMES = ("bpsk", "qam4", "qam16")
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,15 @@ class SymbolTable:
         return self.vectors.shape[0]
 
 
-def enumerate_symbol_vectors(c: Constellation, u: int, cap: int = MAX_CODEBOOK_SIZE) -> SymbolTable:
-    """Enumerate all M^u symbol vectors in the fixed mixed-radix order."""
+def enumerate_symbol_vectors(c: Constellation, u: int) -> SymbolTable:
+    """Enumerate all M^u symbol vectors in the fixed mixed-radix order;
+    more than :data:`MAX_CODEBOOK_SIZE` is a ValueError."""
     if u < 1:
         raise ValueError("user count must be >= 1")
     m = c.size
     k = m ** u
-    if k > cap:
-        raise ValueError(f"codebook size {k} exceeds the cap of {cap}")
+    if k > MAX_CODEBOOK_SIZE:
+        raise ValueError(f"codebook size {k} exceeds the cap of {MAX_CODEBOOK_SIZE}")
     # Descending traversal of the ascending point list; digit 0 of every
     # user is the largest point.
     points_desc = c.complex_points[::-1]

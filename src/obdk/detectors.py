@@ -98,10 +98,19 @@ class SphereTable:
     distance, ties by index) whose g-th sub-codeword is nearest to the
     p-th sub-vector pattern. Patterns are numbered by mapping element i
     of the +/-1 sub-vector to bit i via (1 - y_i) / 2, little-endian.
+    Only the shape of ``indices`` is checked.
     """
 
     indices: np.ndarray
     codebook_size: int
+
+    def __post_init__(self):
+        shape = np.shape(self.indices)
+        if len(shape) != 3 or shape[0] < 1 or shape[1] < 2 or shape[1] & (shape[1] - 1):
+            raise ValueError(
+                f"sphere-table indices have shape {shape}, expected (G, 2^n_sub, L) "
+                "with G >= 1 and n_sub >= 1"
+            )
 
     @property
     def group_count(self) -> int:
@@ -155,7 +164,9 @@ def weighted_hamming(y, c, w, w_tilde) -> float:
 
 def pattern_index(signs) -> int:
     """Pattern number of a +/-1 vector: bit i = (1 - y_i) / 2, little-endian."""
-    bits = (1 - np.asarray(signs, dtype=np.int64)) // 2
+    signs = np.asarray(signs)
+    _check_signs(signs)
+    bits = (1 - signs.astype(np.int64)) // 2
     return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, sep_bound
 from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream_rng
-from .codebook import Codebook, build_codebook, enumerate_symbol_vectors, make_constellation
+from .codebook import (SCHEMES, Codebook, build_codebook, enumerate_symbol_vectors,
+                       make_constellation)
 from .detectors import (
     ConfigError,
     Receiver,
@@ -63,13 +64,14 @@ def snr_db_to_sigma_sq(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 10.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate; sane near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial rate; sane near 0 and 1."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
+    z = 1.96
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
@@ -142,7 +144,7 @@ def _check_common(cfg: ExperimentConfig) -> None:
     for snr in cfg.snr_db:
         if not math.isfinite(snr):
             raise ConfigError(f"--snr-db values must be finite, got {snr}")
-    if cfg.modulation not in ("bpsk", "qam4", "qam16"):
+    if cfg.modulation not in SCHEMES:
         raise ConfigError(f"unsupported --mod value: {cfg.modulation!r}")
     if not 0 <= cfg.seed < 1 << 64:
         raise ConfigError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
@@ -437,20 +439,26 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+def _rows_text(rows, columns, fmt: str) -> str:
+    """The dicts ``rows`` as CSV of ``columns``, or as JSON of every key."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    return "".join(",".join(map(str, line)) + "\n"
+                   for line in [columns, *([row[c] for c in columns] for row in rows)])
+
+
 def records_to_csv(records) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        fields = r.output_fields()
-        lines.append(",".join(str(fields[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _rows_text([r.output_fields() for r in records], CSV_COLUMNS, "csv")
 
 
 def records_to_json(records) -> str:
-    return json.dumps([r.output_fields() for r in records], indent=2) + "\n"
+    return _rows_text([r.output_fields() for r in records], CSV_COLUMNS, "json")
 
 
-def _write_text(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
+def write_rows(rows, columns, out: str | None, fmt: str = "csv") -> None:
+    """Write :func:`_rows_text` to the file ``out``, or to stdout when
+    ``out`` is None."""
+    text = _rows_text(rows, columns, fmt)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -459,4 +467,4 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def write_records(records, out: str | None, fmt: str = "csv") -> None:
-    _write_text(records_to_csv(records) if fmt == "csv" else records_to_json(records), out)
+    write_rows([r.output_fields() for r in records], CSV_COLUMNS, out, fmt)

@@ -276,3 +276,25 @@ class TestComputeLlrs:
         ws = compute_weights_approx(ch, table)
         with pytest.raises(ValueError):
             compute_llrs(cb.codewords[0], np.array([], dtype=int), cb, ws, 0)
+
+    @pytest.mark.parametrize("candidates", [
+        [-16, 4, 5, 6, 7],
+        [4, 16],
+        np.arange(4, 8) + 0.9,
+        [[4, 5], [6, 7]],
+    ], ids=["negative", "past-K", "fractional", "2-D"])
+    def test_rejects_candidates_it_would_misread(self, candidates):
+        # Before, a negative index i scored codeword K + i, a fraction was
+        # truncated and a 2-D list gave values that are not LLRs.
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=57)
+        ws = compute_weights_approx(ch, table)
+        with pytest.raises(ValueError, match=r"1-D integer array in \[0, 16\)"):
+            compute_llrs(cb.codewords[4], candidates, cb, ws, 0)
+
+    @pytest.mark.parametrize("length", [6, 10])
+    def test_rejects_observation_of_wrong_length(self, length):
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=57)
+        ws = compute_weights_approx(ch, table)
+        y = np.ones(length)
+        with pytest.raises(ValueError, match=rf"shape \({length},\), expected \(8,\)"):
+            compute_llrs(y, np.arange(4, 8), cb, ws, 0)

@@ -651,6 +651,17 @@ class TestSphereTableSerialization:
             assert_array_equal(assemble_list(y, sphere), assemble_list(y, again))
 
 
+class TestSphereTableShape:
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 6, 1), (0, 4, 2), (2, 1, 2), (4, 2),
+                                       (1, 2, 4, 2)],
+                             ids=["3-patterns", "6-patterns", "no-groups", "ns-0", "2-D", "4-D"])
+    def test_malformed_indices_rejected(self, shape):
+        # Before, (2, 3, 1) read as n_sub = 1 and assemble_list([1, -1], ...)
+        # answered [0] from a misaddressed row.
+        with pytest.raises(ValueError, match="sphere-table indices have shape"):
+            SphereTable(np.zeros(shape, dtype=np.uint32), 16)
+
+
 class TestSphereRules:
     # 2N = 8, K = 16 throughout. ``groups`` is G in the blob header; None
     # skips the blob reader: no header states 2N = 8 with n_sub = 3, and
@@ -957,3 +968,10 @@ class TestObservationSigns:
         for dtype in (np.int8, np.float64):
             with pytest.raises(ValueError, match=r"\+1 or -1"):
                 call(bad.astype(dtype))
+
+    @pytest.mark.parametrize("bad", [[0, 1, 1, 0], [1, -1, 0.5, 1], [1, -1, 1.5, 1]],
+                             ids=["bits", "half", "one-and-a-half"])
+    def test_pattern_index_rejects_other_entries(self, bad):
+        # Before, the bit form [0, 1, 1, 0] read as all +1, pattern 0.
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            pattern_index(bad)
