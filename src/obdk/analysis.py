@@ -61,6 +61,10 @@ def sep_bound(inputs: SepBoundInputs) -> float:
     return float(unlisted.prod(axis=0).mean())
 
 
+# Detector families of the multiplication-count model.
+COMPLEXITY_DETECTORS = ("mld", "mwd", "osd")
+
+
 @dataclass(frozen=True)
 class ComplexityQuery:
     """Inputs of the real-multiplication count model."""
@@ -74,7 +78,7 @@ class ComplexityQuery:
     list_size: int | None = None
 
     def __post_init__(self):
-        if self.detector not in ("mld", "mwd", "osd"):
+        if self.detector not in COMPLEXITY_DETECTORS:
             raise ConfigError(f"unknown detector for complexity model: {self.detector!r}")
         for field in (self.users, self.antennas, self.codebook_size, self.time_slots):
             if field < 1:

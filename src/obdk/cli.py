@@ -17,10 +17,11 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import ComplexityQuery, complexity_model, compute_llrs
+from .analysis import COMPLEXITY_DETECTORS, ComplexityQuery, complexity_model, compute_llrs
 from .codebook import SCHEMES
 from .detectors import assemble_list, write_sphere_table
 from .experiments import (
+    DETECTOR_NAMES,
     ConfigError,
     ExperimentConfig,
     resolve_workers,
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ser", help="symbol-error-rate sweep with paired noise")
     _add_experiment_args(p, run_ser_experiment)
     p.add_argument("--detectors", type=_list_of(str, "names"),
-                   help="comma-separated subset of mld,mwd-exact,mwd,mwd-hs,osd")
+                   help="comma-separated subset of " + ",".join(DETECTOR_NAMES))
     _add_sphere_args(p)
 
     p = command("sep", help="list-miss rate, loss rate, and analytic bound")
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sphere_args(p)
 
     p = command("complexity", help="real-multiplication counts per detector")
-    p.add_argument("--detector", choices=("mld", "mwd", "osd"), required=True)
+    p.add_argument("--detector", choices=COMPLEXITY_DETECTORS, required=True)
     p.add_argument("-U", "--users", type=int, required=True)
     p.add_argument("-N", "--antennas", type=int, required=True)
     p.add_argument("-K", "--codebook-size", type=int, required=True)

@@ -98,7 +98,7 @@ class SphereTable:
     distance, ties by index) whose g-th sub-codeword is nearest to the
     p-th sub-vector pattern. Patterns are numbered by mapping element i
     of the +/-1 sub-vector to bit i via (1 - y_i) / 2, little-endian.
-    Only the shape of ``indices`` is checked.
+    The shape of ``indices`` and the range of its entries are checked.
     """
 
     indices: np.ndarray
@@ -106,11 +106,14 @@ class SphereTable:
 
     def __post_init__(self):
         shape = np.shape(self.indices)
-        if len(shape) != 3 or shape[0] < 1 or shape[1] < 2 or shape[1] & (shape[1] - 1):
+        if (len(shape) != 3 or shape[0] < 1 or shape[1] < 2 or shape[1] & (shape[1] - 1)
+                or shape[2] < 1):
             raise ValueError(
                 f"sphere-table indices have shape {shape}, expected (G, 2^n_sub, L) "
-                "with G >= 1 and n_sub >= 1"
+                "with G >= 1, n_sub >= 1 and L >= 1"
             )
+        if np.min(self.indices) < 0 or np.max(self.indices) >= self.codebook_size:
+            raise ValueError("table entry out of codebook range")
 
     @property
     def group_count(self) -> int:
@@ -516,8 +519,6 @@ def sphere_table_from_bytes(data: bytes) -> SphereTable:
     payload = np.frombuffer(data, dtype="<u4", offset=head)
     if len(payload) != count:
         raise ValueError(f"expected {count} table entries, found {len(payload)}")
-    if payload.max() >= k_total:
-        raise ValueError("table entry out of codebook range")
     indices = payload.reshape(g, 1 << n_sub, list_size).astype(np.uint32)
     return SphereTable(indices, k_total)
 

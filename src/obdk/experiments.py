@@ -59,6 +59,10 @@ CSV_COLUMNS = (
 # for memory part way through.
 STATE_BUDGET_BYTES = 1 << 30
 
+# Longest observation whose rows the trial draws key exactly in float64
+# (see _distinct_rows); wider blocks are scored as drawn.
+MAX_KEYED_OUTPUTS = 52
+
 
 def snr_db_to_sigma_sq(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 10.0)
@@ -265,13 +269,40 @@ def _receivers(cb, ch: RealChannel, detectors):
     return receivers, ws
 
 
+def _distinct_rows(obs: np.ndarray):
+    """(distinct, inverse) of a (T, 2N) block of float64 +/-1 rows: each
+    distinct row once, and for every row the row of ``distinct`` it
+    equals, so that ``distinct[inverse]`` is ``obs``.
+
+    Rows are told apart by the GEMV key obs @ (-2^i), a sum of distinct
+    powers of two, hence exact while 2N <= :data:`MAX_KEYED_OUTPUTS`; a
+    wider block comes back as it is, with the identity ``inverse``. Two
+    or more rows never come back as one: a lone distinct row is returned
+    twice, so that it is scored by GEMM like every other block (see
+    :func:`_row_blocks`).
+    """
+    trials, width = obs.shape
+    if width > MAX_KEYED_OUTPUTS:
+        return obs, np.arange(trials)
+    keys, inverse = np.unique(obs @ -np.exp2(np.arange(width)), return_inverse=True)
+    rows = np.empty(len(keys), dtype=np.intp)
+    rows[inverse] = np.arange(trials)  # one trial of each distinct row
+    if len(rows) == 1 and trials > 1:
+        rows = np.arange(2)
+    return obs[rows], inverse
+
+
 def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
                  receivers):
-    """Uniform codeword indices and their one-bit observations (float64
-    +/-1, the form receivers score), yielded as (indices, observations)
-    per row block of :func:`_row_blocks`, sized for the widest
-    :attr:`Receiver.row_values` of ``receivers`` (at least the 2N of an
-    observation).
+    """Uniform codeword indices and their one-bit observations, yielded as
+    (indices, distinct, inverse) per row block of :func:`_row_blocks`,
+    sized for the widest :attr:`Receiver.row_values` of ``receivers`` (at
+    least the 2N of an observation): ``distinct`` holds each distinct
+    observation of the block once (float64 +/-1, the form receivers
+    score) and ``distinct[inverse]`` is the block's observations, as
+    :func:`_distinct_rows` gives them. Receivers are deterministic in the
+    observation, so scoring ``distinct`` and gathering through
+    ``inverse`` is scoring every trial.
 
     Draws all ``trials`` indices first (8 bytes a trial), then the noise
     of each block in turn, from ``rng``; the stream is consumed as by one
@@ -284,7 +315,7 @@ def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.rando
         noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
         noise *= ch.noise_std_per_component
         noise += codebook.symbols.vectors[ks[rows]] @ ch.entries.T
-        yield ks[rows], quantize_sign(noise).astype(np.float64)
+        yield ks[rows], *_distinct_rows(quantize_sign(noise).astype(np.float64))
 
 
 def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
@@ -294,14 +325,14 @@ def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.ran
     absent from its list, a loss a trial that the full search gets right
     and the sphere decoder gets wrong."""
     misses = losses = list_sum = 0
-    for ks, obs in _draw_trials(ch, codebook, trials, rng, (full, sphere)):
-        # Column-major when taller than wide, so np.any runs across columns.
-        cand = sphere.candidates(obs)
-        full_hat, _, _ = full.detect(obs)
-        sphere_hat, _, lens = sphere.detect(obs, cand)
-        misses += int(np.count_nonzero(~np.any(cand == ks[:, None], axis=1)))
-        losses += int(np.count_nonzero((full_hat == ks) & (sphere_hat != ks)))
-        list_sum += int(lens.sum())
+    for ks, distinct, inverse in _draw_trials(ch, codebook, trials, rng, (full, sphere)):
+        cand = sphere.candidates(distinct)
+        full_hat, _, _ = full.detect(distinct)
+        sphere_hat, _, lens = sphere.detect(distinct, cand)
+        # Gathered as (G*L, T), np.any combines whole rows, not one short row a trial.
+        misses += int(np.count_nonzero(~np.any(cand.T[:, inverse] == ks, axis=0)))
+        losses += int(np.count_nonzero((full_hat[inverse] == ks) & (sphere_hat[inverse] != ks)))
+        list_sum += int(lens[inverse].sum())
     return misses, losses, list_sum
 
 
@@ -316,10 +347,10 @@ def _detect_block(detectors, cfg: ExperimentConfig, rng: np.random.Generator, cb
     observations."""
     receivers = _receivers(cb, ch, detectors)[0]
     totals = np.zeros((len(receivers), 2), dtype=np.int64)
-    for ks, obs in _draw_trials(ch, cb, cfg.trials, rng, receivers):
+    for ks, distinct, inverse in _draw_trials(ch, cb, cfg.trials, rng, receivers):
         for i, rx in enumerate(receivers):
-            winners, _, lens = rx.detect(obs)
-            totals[i] += np.count_nonzero(winners != ks), lens.sum()
+            winners, _, lens = rx.detect(distinct)
+            totals[i] += np.count_nonzero(winners[inverse] != ks), lens[inverse].sum()
     return tuple(totals.ravel().tolist())
 
 

@@ -652,14 +652,30 @@ class TestSphereTableSerialization:
 
 
 class TestSphereTableShape:
-    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 6, 1), (0, 4, 2), (2, 1, 2), (4, 2),
-                                       (1, 2, 4, 2)],
-                             ids=["3-patterns", "6-patterns", "no-groups", "ns-0", "2-D", "4-D"])
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 6, 1), (0, 4, 2), (2, 1, 2), (1, 4, 0),
+                                       (4, 2), (1, 2, 4, 2)],
+                             ids=["3-patterns", "6-patterns", "no-groups", "ns-0", "l-0", "2-D",
+                                  "4-D"])
     def test_malformed_indices_rejected(self, shape):
         # Before, (2, 3, 1) read as n_sub = 1 and assemble_list([1, -1], ...)
-        # answered [0] from a misaddressed row.
+        # answered [0] from a misaddressed row; (1, 4, 0) made it fail to reshape.
         with pytest.raises(ValueError, match="sphere-table indices have shape"):
             SphereTable(np.zeros(shape, dtype=np.uint32), 16)
+
+    @pytest.mark.parametrize("entry", [16, 99, -1])
+    def test_entries_outside_codebook_rejected(self, entry):
+        # Before, a table of 99s answered assemble_list([1, -1], ...) with [99] for K = 16.
+        indices = np.zeros((1, 4, 2), dtype=np.int64)
+        indices[0, 3, 1] = entry
+        with pytest.raises(ValueError, match="table entry out of codebook range"):
+            SphereTable(indices, 16)
+
+    def test_blob_entries_outside_codebook_rejected(self):
+        # The blob reader relies on the same check.
+        blob = bytearray(_blob(2, 4, 2, 16))
+        blob[-4:] = np.array([16], dtype="<u4").tobytes()
+        with pytest.raises(ValueError, match="table entry out of codebook range"):
+            sphere_table_from_bytes(bytes(blob))
 
 
 class TestSphereRules:

@@ -5,12 +5,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 import obdk.experiments
 
 from obdk import (
     ConfigError,
     ExperimentConfig,
+    RealChannel,
     Receiver,
     SphereConfig,
     build_sphere_table,
@@ -29,6 +33,12 @@ from obdk import (
 from obdk.detectors import BLOCK_VALUES, distance_affine
 from obdk.experiments import (
     CSV_COLUMNS,
+    DETECTOR_NAMES,
+    MAX_KEYED_OUTPUTS,
+    _channel_setup,
+    _distinct_rows,
+    _draw_trials,
+    _receivers,
     _sphere_counts,
     validate_ser_config,
     validate_sep_config,
@@ -234,6 +244,77 @@ class TestSphereCounts:
                                       Receiver(base, coef), Receiver(base, coef, sphere))
         stderr = np.sqrt(exact_rate * (1 - exact_rate) / trials)
         assert abs(misses / trials - exact_rate) <= 3 * stderr + 1e-12
+
+
+def _every_row(obs):
+    """What :func:`_distinct_rows` would return if no row repeated."""
+    return obs, np.arange(len(obs))
+
+
+def _constant_signs(v):
+    """A quantizer under which every trial observes the all-(+1) vector."""
+    return np.ones(np.shape(v), dtype=np.int8)
+
+
+class TestDistinctRows:
+    # A system at each side of MAX_KEYED_OUTPUTS, and one whose trials all
+    # observe the same vector; 30 dB makes observations repeat.
+    SYSTEMS = {
+        "same-observation": dict(snr_db=(5.0,)),
+        "2n-52": dict(users=1, antennas=26, n_sub=4, list_size=2, snr_db=(5.0, 30.0)),
+        "2n-54": dict(users=1, antennas=27, n_sub=6, list_size=2, snr_db=(5.0, 30.0)),
+    }
+
+    @pytest.fixture(params=SYSTEMS, ids=list(SYSTEMS))
+    def system(self, request, monkeypatch):
+        if request.param == "same-observation":
+            monkeypatch.setattr(obdk.experiments, "quantize_sign", _constant_signs)
+        return request.param, _small_cfg(trials=400, channels=2, **self.SYSTEMS[request.param])
+
+    def test_winners_and_list_lengths_match_every_row(self, system):
+        name, cfg = system
+        detectors = ("mld", "mwd-exact", "mwd", "mwd-hs", SphereConfig(cfg.n_sub, cfg.list_size))
+        for snr in cfg.snr_db:
+            rng, h_entries, cb = _channel_setup(cfg, 0)
+            ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
+            receivers = _receivers(cb, ch, detectors)[0]
+            for ks, distinct, inverse in _draw_trials(ch, cb, cfg.trials, rng, receivers):
+                obs = distinct[inverse]
+                for rx in receivers:
+                    winners, _, lens = rx.detect(distinct)
+                    every_winner, _, every_len = rx.detect(obs)
+                    assert_array_equal(winners[inverse], every_winner)
+                    assert_array_equal(lens[inverse], every_len)
+                if name == "same-observation":
+                    assert len(distinct) == 2 and not inverse.any()
+                elif name == "2n-54":
+                    assert_array_equal(inverse, np.arange(len(ks)))
+                elif snr == 30.0:
+                    assert len(distinct) < len(ks)
+
+    def test_records_match_every_row(self, system, monkeypatch):
+        # Errors and list lengths of ser, misses, losses and list lengths of sep.
+        _, cfg = system
+        cfg = replace(cfg, detectors=DETECTOR_NAMES)
+        once = [run(cfg) for run in (run_ser_experiment, run_sep_experiment)]
+        monkeypatch.setattr(obdk.experiments, "_distinct_rows", _every_row)
+        assert [run(cfg) for run in (run_ser_experiment, run_sep_experiment)] == once
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_round_trip_through_their_keys(self, data):
+        width = data.draw(st.integers(2, 64), label="2N")
+        patterns = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.sampled_from(patterns), min_size=1, max_size=40))
+        obs = np.array([[1.0 - 2.0 * (p >> i & 1) for i in range(width)] for p in picks])
+        distinct, inverse = _distinct_rows(obs)
+        assert distinct.dtype == np.float64 and inverse.shape == (len(obs),)
+        assert_array_equal(distinct[inverse], obs)
+        if width > MAX_KEYED_OUTPUTS:
+            assert distinct is obs
+        else:
+            count = len(set(picks))
+            assert len(distinct) == (2 if count == 1 < len(picks) else count)
 
 
 class TestTradeoffSweep:
