@@ -19,9 +19,12 @@ affine form (plus the table for the sphere decoder) prepared once per
 coherence block; ties always resolve to the smallest codeword index.
 The ``detect_*`` functions keep the full-search receiver they prepare
 in their weight set (or channel), one per form, and reuse it while the
-codebook stays the same; ``detect_osd`` searches the kept distance form
-through its table. The arrays of those objects are read-only, so a kept
-receiver cannot go stale.
+codebook stays the same; ``detect_osd`` keeps beside it a sphere
+receiver over the kept distance form, until another codebook or table
+replaces it. The arrays of those objects and of sphere tables are
+read-only, so a kept receiver cannot go stale. Every sphere search looks
+its lists up by pattern keys from one float64 product, exact in any
+summation order (see ``_candidates``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import RealChannel
+from .channel import RealChannel, readonly_copy, reduce_by_fields
 from .codebook import Codebook
 from .weights import WeightSet, log_q
 
@@ -98,14 +101,17 @@ class SphereTable:
     distance, ties by index) whose g-th sub-codeword is nearest to the
     p-th sub-vector pattern. Patterns are numbered by mapping element i
     of the +/-1 sub-vector to bit i via (1 - y_i) / 2, little-endian.
-    The shape of ``indices`` and the range of its entries are checked.
+    ``indices`` is a read-only copy of the array passed in, whose shape
+    and entries are checked, so a receiver kept for a table (see
+    :func:`_prepared`) cannot go stale.
     """
 
     indices: np.ndarray
     codebook_size: int
 
     def __post_init__(self):
-        shape = np.shape(self.indices)
+        object.__setattr__(self, "indices", readonly_copy(self.indices))
+        shape = self.indices.shape
         if (len(shape) != 3 or shape[0] < 1 or shape[1] < 2 or shape[1] & (shape[1] - 1)
                 or shape[2] < 1):
             raise ValueError(
@@ -114,6 +120,13 @@ class SphereTable:
             )
         if np.min(self.indices) < 0 or np.max(self.indices) >= self.codebook_size:
             raise ValueError("table entry out of codebook range")
+        # The list of group g's sub-vector y_g is row y_g . weights +
+        # offsets[g] of ``rows`` (see _candidates).
+        weights = -np.exp2(np.arange(self.n_sub) - 1.0)
+        offsets = (shape[1] - 1) / 2 + shape[1] * np.arange(shape[0])
+        object.__setattr__(self, "_lookup", (weights, offsets, self.indices.reshape(-1, shape[2])))
+
+    __reduce__ = reduce_by_fields
 
     @property
     def group_count(self) -> int:
@@ -257,6 +270,10 @@ class Receiver:
     base: np.ndarray
     coef: np.ndarray
     table: SphereTable | None = None
+    # Values per observation of the largest temporary of detect: K scores
+    # for full search; for the sphere search the G * L * 2N gathered
+    # coefficients, or the K <= G * L * 2N scores read in their place.
+    row_values: int = field(init=False, repr=False, compare=False)
     _rel: float = field(init=False, repr=False, compare=False)
     _full_tol: float = field(init=False, repr=False, compare=False)
 
@@ -265,8 +282,11 @@ class Receiver:
         object.__setattr__(self, "_rel", rel)
         if self.table is None:  # the sphere search takes its tolerance per observation
             object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
+            values = len(self.base)
         else:
             _check_table(self.table, len(self.base), self.coef.shape[1])
+            values = self.table.group_count * self.table.list_size * self.coef.shape[1]
+        object.__setattr__(self, "row_values", values)
 
     def _batch(self, obs) -> np.ndarray:
         obs = np.asarray(obs)  # converted to float64 block by block
@@ -277,20 +297,12 @@ class Receiver:
         _check_signs(obs)
         return obs
 
-    @property
-    def row_values(self) -> int:
-        """Values per observation of the largest temporary of :meth:`detect`:
-        K scores for full search; for the sphere search the G * L * 2N
-        gathered coefficients, or the K <= G * L * 2N scores read in
-        their place."""
-        if self.table is None:
-            return len(self.base)
-        return self.table.group_count * self.table.list_size * self.coef.shape[1]
-
     def candidates(self, obs) -> np.ndarray:
         """(T, G*L) looked-up sub-list indices of a (T, 2N) batch, sorted
         per row and laid out along the longer side; an index listed by
-        several groups repeats."""
+        several groups repeats. :meth:`detect`, :func:`assemble_list` and
+        :func:`detect_osd` look lists up the same way: one exact float64
+        product keys every sub-vector (see :func:`_candidates`)."""
         return _candidates(self.table, self._batch(obs))
 
     def detect(self, obs, cand=None):
@@ -298,10 +310,10 @@ class Receiver:
         (T, 2N) batch of +/-1 observations. A sphere receiver takes the
         batch's :meth:`candidates` as ``cand`` when the caller has them."""
         obs = self._batch(obs)
+        if len(obs) * self.row_values <= BLOCK_VALUES:  # what _row_blocks makes one block
+            return self._decide(obs, cand)
         blocks = [self._decide(obs[rows], None if cand is None else cand[rows])
                   for rows in _row_blocks(len(obs), self.row_values)]
-        if len(blocks) == 1:
-            return blocks[0]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def _scores(self, obs) -> np.ndarray:
@@ -328,11 +340,11 @@ class Receiver:
                 scores = np.subtract(listed, np.einsum("tcn,tn->tc", self.coef[cand], obs),
                                      out=np.empty_like(listed))
             tol = self._rel * np.abs(listed).max(axis=1, keepdims=True)
-        best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
+        best = (scores <= scores.min(axis=1, keepdims=True) + tol).argmax(axis=1)
         rows = np.arange(len(obs))
         if cand is None:
             return best, scores[rows, best], np.full(len(obs), len(self.base))
-        lens = 1 + np.count_nonzero(np.diff(cand, axis=1), axis=1)
+        lens = (cand[:, 1:] != cand[:, :-1]).sum(axis=1, dtype=np.intp) + 1
         return cand[rows, best], scores[rows, best], lens
 
 
@@ -361,14 +373,22 @@ def _long_side(n_rows: int, width: int) -> str:
 
 
 def _candidates(table: SphereTable, obs: np.ndarray) -> np.ndarray:
+    """(T, G*L) sorted sub-list indices of a (T, 2N) +/-1 batch.
+
+    Sub-vector y_g has pattern number sum_i (1 - y_i) 2^(i-1) =
+    (2^n_sub - 1) / 2 + y_g . (-2^(i-1)), its list being row g 2^n_sub
+    plus that number of the flattened table. Each term and partial sum
+    of the product is a multiple of 1/2 below 2^20 in magnitude and the
+    offset an integer below the row count, all exact in float64, so the
+    key is exact in any summation order or BLAS blocking.
+    """
     trials = len(obs)
-    g_count, n_patterns, list_size = table.indices.shape
-    signs = obs.reshape(trials, g_count, table.n_sub) < 0
-    pats = signs @ (1 << np.arange(table.n_sub)) + n_patterns * np.arange(g_count)
-    rows = table.indices.reshape(-1, list_size)[pats]
-    width = g_count * list_size
-    return np.sort(rows.reshape(trials, width), axis=1).astype(
-        np.int64, order=_long_side(trials, width))
+    g_count, _, list_size = table.indices.shape
+    weights, offsets, rows = table._lookup
+    keys = (obs.reshape(-1, len(weights)) @ weights).reshape(trials, g_count)
+    cand = rows.take((keys + offsets).astype(np.intp), axis=0).reshape(trials, g_count * list_size)
+    cand.sort(axis=1)
+    return cand.astype(np.int64, order=_long_side(*cand.shape))
 
 
 def _detect_one(rx: Receiver, y) -> DetectionResult:
@@ -376,19 +396,26 @@ def _detect_one(rx: Receiver, y) -> DetectionResult:
     return DetectionResult(int(index[0]), float(score[0]), int(lens[0]))
 
 
-def _prepared(owner, build, codebook: Codebook) -> Receiver:
-    """The full-search receiver of ``build(codebook, owner)``.
+def _prepared(owner, build, codebook: Codebook, table: SphereTable | None = None) -> Receiver:
+    """The receiver of ``build(codebook, owner)``: full search, or with
+    ``table`` the sphere search over the rows of the kept full-search form.
 
-    ``owner`` (a weight set or a channel) keeps it, one per ``build``,
-    and hands it out again while ``codebook`` is the same object; another
-    codebook replaces it. Both hold read-only arrays, so a kept receiver
-    equals a fresh one, and it goes when ``owner`` goes.
+    ``owner`` (a weight set or a channel) keeps both, one of each per
+    ``build``, and hands them out again while ``codebook`` and ``table``
+    are the same objects; another codebook or table replaces them. All
+    hold read-only arrays, so a kept receiver equals a fresh one, and it
+    goes when ``owner`` goes.
     """
     kept = owner.__dict__.setdefault("_receivers", {})
-    entry = kept.get(build)
-    if entry is None or entry[0] is not codebook:
-        entry = kept[build] = (codebook, Receiver(*build(codebook, owner)))
-    return entry[1]
+    entry = kept.get((build, table is None))
+    if entry is None or entry[0] is not codebook or entry[1] is not table:
+        if table is None:
+            rx = Receiver(*build(codebook, owner))
+        else:
+            full = _prepared(owner, build, codebook)
+            rx = Receiver(full.base, full.coef, table)
+        entry = kept[build, table is None] = (codebook, table, rx)
+    return entry[2]
 
 
 def detect_mld(y, codebook: Codebook, ch: RealChannel) -> DetectionResult:
@@ -476,13 +503,14 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:
     """Weighted-distance rule restricted to the assembled candidate list.
 
-    Searches the listed rows of the distance form that ``ws`` keeps for
+    ``ws`` keeps the sphere receiver of ``table`` and ``codebook``, which
+    searches the listed rows of the distance form kept for
     :func:`detect_mwd`: the first call on a weight set builds that form,
-    O(K * 2N), and later calls cost O(G * L * 2N). Ties go to the
-    smallest codeword index.
+    O(K * 2N), and later calls cost O(G * L * 2N), until another codebook
+    or table replaces the receiver. Ties go to the smallest codeword
+    index.
     """
-    full = _prepared(ws, distance_affine, codebook)
-    return _detect_one(Receiver(full.base, full.coef, table), y)
+    return _detect_one(_prepared(ws, distance_affine, codebook, table), y)
 
 
 def sphere_table_to_bytes(table: SphereTable) -> bytes:
@@ -519,8 +547,7 @@ def sphere_table_from_bytes(data: bytes) -> SphereTable:
     payload = np.frombuffer(data, dtype="<u4", offset=head)
     if len(payload) != count:
         raise ValueError(f"expected {count} table entries, found {len(payload)}")
-    indices = payload.reshape(g, 1 << n_sub, list_size).astype(np.uint32)
-    return SphereTable(indices, k_total)
+    return SphereTable(payload.reshape(g, 1 << n_sub, list_size), k_total)
 
 
 def write_sphere_table(table: SphereTable, path) -> None:

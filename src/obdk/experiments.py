@@ -264,8 +264,8 @@ def _receivers(cb, ch: RealChannel, detectors):
         elif det == "mwd-hs":
             receivers.append(_prepared(ws, _mismatch_affine, cb))
         else:
-            head = np.ascontiguousarray(longest.indices[..., :det.list_size])
-            receivers.append(Receiver(full.base, full.coef, replace(longest, indices=head)))
+            head = replace(longest, indices=longest.indices[..., :det.list_size])
+            receivers.append(Receiver(full.base, full.coef, head))
     return receivers, ws
 
 

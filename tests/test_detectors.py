@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
@@ -49,9 +49,11 @@ from obdk import (
 import obdk.detectors
 from obdk.detectors import (
     BLOCK_VALUES,
+    MAX_SUBVECTOR_DIM,
     _candidates,
     _mismatch_affine,
     _nearest,
+    _prepared,
     _row_blocks,
     distance_affine,
     loglik_affine,
@@ -95,6 +97,27 @@ class TestPatternConvention:
         for n in (1, 3, 5):
             for p in range(1 << n):
                 assert pattern_index(pattern_signs(p, n)) == p
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n_sub=st.integers(1, MAX_SUBVECTOR_DIM), g_count=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_sub=MAX_SUBVECTOR_DIM, g_count=3, seed=0)
+    def test_candidate_keys_equal_pattern_index(self, n_sub, g_count, seed):
+        # Entry (g, p) of this table is its own row g 2^n_sub + p of the
+        # flattened table, so a row's sorted candidates are its G keys.
+        n_patterns = 1 << n_sub
+        rows = np.arange(g_count * n_patterns, dtype=np.uint32)
+        table = SphereTable(rows.reshape(g_count, n_patterns, 1), len(rows))
+        if n_sub <= 8:  # every pattern in every group
+            pats = (np.arange(n_patterns)[:, None] + np.arange(g_count)) % n_patterns
+        else:
+            pats = np.random.default_rng(seed).integers(0, n_patterns, size=(40, g_count))
+        obs = np.array([np.concatenate([pattern_signs(p, n_sub) for p in row]) for row in pats])
+        for batch in (obs, obs[:1], obs[-1:]):
+            want = [[pattern_index(y[g * n_sub:(g + 1) * n_sub]) + g * n_patterns
+                     for g in range(g_count)] for y in batch]
+            for dtype in (np.int8, np.float64):
+                assert_array_equal(_candidates(table, batch.astype(dtype)), want)
 
 
 class TestDetectMld:
@@ -545,6 +568,40 @@ class TestPreparedFullSearch:
         assert ch2.noise_variance == ch.noise_variance
         assert (detect_mwd(y, cb2, ws2), detect_mld(y, cb2, ch2)) == want
 
+    def test_kept_sphere_receiver_follows_its_inputs(self):
+        # One weight set, its sphere receiver switched between tables (of
+        # another L, then of another n_sub) and codebooks: every call
+        # searches the table and codebook it is given.
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=46)
+        ws = compute_weights_approx(ch, table)
+        rows = stream_rng(47, 0).permutation(cb.size)
+        twin_cb = Codebook(cb.codewords[rows],
+                           SymbolTable(table.vectors[rows], table.constellation, table.users))
+        first, longer, finer = (build_sphere_table(cb, ws, SphereConfig(n_sub, lsz))
+                                for n_sub, lsz in ((4, 2), (4, 5), (2, 3)))
+        twin = build_sphere_table(twin_cb, ws, SphereConfig(4, 2))
+        obs = _all_observations(cb.n_outputs)
+
+        def assert_fresh(codebook, sphere, y):
+            r = detect_osd(y, sphere, codebook, ws)
+            fresh = Receiver(*distance_affine(codebook, ws), sphere)
+            (index,), (score,), (lens,) = fresh.detect(y[None])
+            assert (r.index, r.list_len) == (index, lens)
+            assert np.float64(r.distance).tobytes() == score.tobytes()
+
+        for codebook, sphere in ((cb, first), (cb, longer), (cb, first), (cb, finer),
+                                 (twin_cb, twin), (cb, first)):
+            for y in obs:
+                assert_fresh(codebook, sphere, y)
+            kept = _prepared(ws, distance_affine, codebook, sphere)
+            assert _prepared(ws, distance_affine, codebook, sphere) is kept
+        other_ch, other_table, other_cb = random_system(1, 4, "qam4", 0.3, seed=48)
+        other = build_sphere_table(other_cb, compute_weights_approx(other_ch, other_table),
+                                   SphereConfig(4, 2))
+        with pytest.raises(ValueError, match="4 codewords"):
+            detect_osd(obs[0], other, cb, ws)
+        assert_fresh(cb, first, obs[0])
+
     def test_kept_receivers_go_with_their_owner(self):
         ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=44)
         ws = compute_weights_approx(ch, table)
@@ -669,6 +726,18 @@ class TestSphereTableShape:
         indices[0, 3, 1] = entry
         with pytest.raises(ValueError, match="table entry out of codebook range"):
             SphereTable(indices, 16)
+
+    def test_indices_are_a_private_read_only_copy(self):
+        # Before, the table held the caller's array: writing 99 into it
+        # made assemble_list([1, 1], ...) answer [99], past the range check.
+        idx = np.zeros((1, 4, 1), dtype=np.uint32)
+        table = SphereTable(idx, 4)
+        idx[0, 0, 0] = 99
+        assert_array_equal(assemble_list([1, 1], table), [0])
+        for held in (table.indices, pickle.loads(pickle.dumps(table)).indices):
+            assert_array_equal(held, np.zeros((1, 4, 1)))
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0, 0] = 1
 
     def test_blob_entries_outside_codebook_rejected(self):
         # The blob reader relies on the same check.
