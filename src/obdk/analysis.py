@@ -3,9 +3,11 @@ and soft outputs.
 
 The sphere decoder can only lose to the full-search rule when the true
 codeword index misses the assembled list, so the list-miss probability
-bounds that loss. ``sep_bound`` computes it for a fixed channel from the
-sphere table: with exact weights the value is the decoder's exact
-list-miss probability; approximate weights make it approximate and can
+bounds that loss. ``SepBoundInputs.build`` ranks the sphere table and
+sums the unlisted mass in one sweep of the sub-codeword scores, and
+``sep_bound`` reduces that mass to the probability for a fixed channel:
+with exact weights the value is the decoder's exact list-miss
+probability; approximate weights make it approximate and can
 push it above 1 (the experiments clamp it to [0, 1]); ``experiments``
 measures the miss and loss rates themselves by simulation.
 ``complexity_model`` counts real multiplications for the three detector
@@ -20,23 +22,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .detectors import (ConfigError, SphereConfig, SphereTable, _check_signs, _prepared,
-                        _sub_scores, build_sphere_table, distance_affine)
+from .detectors import (ConfigError, SphereConfig, SphereTable, _check_signs, _prepared, _rank,
+                        distance_affine)
 from .weights import WeightSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SepBoundInputs:
-    """What the list-miss bound reads: a codebook, its weights and the
-    sphere table built from them."""
+    """What the list-miss bound reads: a sphere table and, for each group
+    g and codeword k, the unlisted mass sum_{p : k not in table[g, p]}
+    exp(-d_k^g(p)), shape (G, K)."""
 
-    codebook: Codebook
-    weights: WeightSet
     table: SphereTable
+    unlisted: np.ndarray
 
     @classmethod
     def build(cls, codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> "SepBoundInputs":
-        return cls(codebook, ws, build_sphere_table(codebook, ws, cfg))
+        """Rank the table and add up the unlisted mass in one sweep of the
+        sub-codeword scores: once a block is ranked its listed cells hold
+        +inf, so exp(-d) of the block is already its unlisted mass.
+
+        Each group's mass is summed pattern by pattern in ascending order,
+        a block carrying on the sum of the group's earlier blocks, so its
+        bits do not depend on how the scores are blocked."""
+        unlisted = np.zeros((cfg.group_count(codebook.n_outputs, codebook.size), codebook.size))
+
+        def add_mass(groups, d):
+            mass = np.exp(np.negative(d, out=d), out=d)
+            mass[:, 0] += unlisted[groups]  # numpy adds the rows of a middle axis in order
+            unlisted[groups] = mass.sum(axis=1)
+
+        return cls(_rank(codebook, ws, cfg, add_mass), unlisted)
 
 
 def sep_bound(inputs: SepBoundInputs) -> float:
@@ -44,21 +60,16 @@ def sep_bound(inputs: SepBoundInputs) -> float:
     for a fixed channel; the sphere decoder can only lose to the full
     search on such a miss, so it also bounds that loss.
 
-    The mean over codewords k of the product over groups g of
-    sum_{p : k not in table[g, p]} exp(-d_k^g(p)), where d_k^g(p) is the
-    weighted distance of pattern p to k's g-th sub-codeword. With exact
-    weights exp(-d_k^g(p)) is the probability that k's g-th sub-vector
-    is received as p, so the value is the decoder's exact list-miss
-    probability, ties included. Approximate weights make it approximate,
-    and can push it above 1.
+    The mean over codewords k of the product over groups g of the
+    unlisted mass sum_{p : k not in table[g, p]} exp(-d_k^g(p)), where
+    d_k^g(p) is the weighted distance of pattern p to k's g-th
+    sub-codeword; :meth:`SepBoundInputs.build` sums it while ranking the
+    table, so this only reduces it. With exact weights exp(-d_k^g(p)) is
+    the probability that k's g-th sub-vector is received as p, so the
+    value is the decoder's exact list-miss probability, ties included.
+    Approximate weights make it approximate, and can push it above 1.
     """
-    table = inputs.table
-    unlisted = np.zeros((table.group_count, table.codebook_size))
-    for g, rows, d in _sub_scores(inputs.codebook, inputs.weights, table.n_sub):
-        mass = np.exp(np.negative(d, out=d), out=d)
-        np.put_along_axis(mass, table.indices[g, rows], 0.0, axis=1)
-        unlisted[g] += mass.sum(axis=0)
-    return float(unlisted.prod(axis=0).mean())
+    return float(inputs.unlisted.prod(axis=0).mean())
 
 
 # Detector families of the multiplication-count model.

@@ -50,7 +50,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexChannel:
     """Complex channel matrix, N receive antennas x U single-antenna users."""
 
@@ -65,7 +65,7 @@ class ComplexChannel:
         object.__setattr__(self, "entries", h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealChannel:
     """Real-form channel (2N x 2U) plus the complex-noise variance sigma^2.
 

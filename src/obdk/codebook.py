@@ -20,7 +20,7 @@ MAX_CODEBOOK_SIZE = 1 << 24
 SCHEMES = ("bpsk", "qam4", "qam16")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Unit-average-power constellation.
 
@@ -64,7 +64,7 @@ def make_constellation(scheme: str) -> Constellation:
     return Constellation(key, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolTable:
     """All K = M^U transmit hypotheses as real vectors of length 2U.
 
@@ -108,7 +108,7 @@ def enumerate_symbol_vectors(c: Constellation, u: int) -> SymbolTable:
     return SymbolTable(vectors, c, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Sign codewords c_k = sign(H x_k), aligned with their symbol table.
 

@@ -93,7 +93,7 @@ class DetectionResult:
     list_len: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereTable:
     """Per-pattern nearest sub-codeword lists ``indices``, shape (G, 2^n_sub, L).
 
@@ -192,18 +192,19 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def distance_affine(codebook: Codebook, ws: WeightSet, columns=None):
+def distance_affine(codebook: Codebook, ws: WeightSet, n_sub: int | None = None):
     """Affine form of the weighted Hamming distance, d_k(y) = base - coef @ y.
 
-    ``columns`` restricts the distance to a slice of observation
-    positions (used for sub-codeword scoring).
+    Returns (base, coef), coef of shape (K, 2N). Without ``n_sub``, base
+    has shape (K,). With ``n_sub`` it holds the (K, G) bases of the G =
+    2N / n_sub groups of n_sub consecutive positions: sub-codeword g of k
+    scores base[k, g] - coef[k, g n_sub:(g + 1) n_sub] @ y_g (used for
+    sub-codeword scoring, see :func:`_sub_scores`).
     """
-    c, w, wt = codebook.codewords, ws.w, ws.w_tilde
-    if columns is not None:
-        c, w, wt = c[:, columns], w[:, columns], wt[:, columns]
-    diff = w - wt
-    base = wt.sum(axis=1) + 0.5 * diff.sum(axis=1)
-    coef = np.multiply(diff, c, out=diff)  # c is +/-1 and scaling by 0.5 is exact
+    diff = ws.w - ws.w_tilde
+    shape = (len(diff), -1) if n_sub is None else (len(diff), -1, n_sub)
+    base = ws.w_tilde.reshape(shape).sum(axis=-1) + 0.5 * diff.reshape(shape).sum(axis=-1)
+    coef = np.multiply(diff, codebook.codewords, out=diff)  # c is +/-1 and scaling by 0.5 is exact
     coef *= 0.5
     return base, coef
 
@@ -233,7 +234,7 @@ def _negated_loglik_affine(codebook: Codebook, ch: RealChannel):
     return -base, coef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Receiver:
     """One detector prepared for one coherence block.
 
@@ -273,9 +274,9 @@ class Receiver:
     # Values per observation of the largest temporary of detect: K scores
     # for full search; for the sphere search the G * L * 2N gathered
     # coefficients, or the K <= G * L * 2N scores read in their place.
-    row_values: int = field(init=False, repr=False, compare=False)
-    _rel: float = field(init=False, repr=False, compare=False)
-    _full_tol: float = field(init=False, repr=False, compare=False)
+    row_values: int = field(init=False, repr=False)
+    _rel: float = field(init=False, repr=False)
+    _full_tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
         rel = 4 * (self.coef.shape[1] + 1) * np.finfo(np.float64).eps
@@ -437,19 +438,30 @@ def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     """Sub-codeword scores d_k^g(p) of every sub-vector pattern p.
 
-    Yields blocks (g, pattern slice, (patterns, K) scores), group by
-    group, the patterns of each group in the row blocks of
-    :func:`_row_blocks` (at most :data:`BLOCK_VALUES` scores each, in
-    ascending order); row p of a block scores the signs
-    :func:`pattern_signs` (p, n_sub). Each block is a fresh array that
-    the caller may overwrite.
+    Yields blocks (group slice, pattern slice, (groups, patterns, K)
+    scores) in ascending order, at most :data:`BLOCK_VALUES` scores
+    each: as many whole groups as fit, or one group in the pattern row
+    blocks of :func:`_row_blocks` when a group alone does not fit. Row p
+    of a group's scores belongs to the signs :func:`pattern_signs` (p,
+    n_sub). The groups of a block come from one broadcast product of the
+    pattern signs with each group's coefficients, a strided (n_sub, K)
+    view of ``coef`` that BLAS takes as it is, so a group's scores have
+    the same bits however many groups share its block. Each block is a
+    fresh C-ordered array that the caller may overwrite.
     """
-    for g in range(codebook.n_outputs // n_sub):
-        base, coef = distance_affine(codebook, ws, columns=slice(g * n_sub, (g + 1) * n_sub))
-        for rows in _row_blocks(1 << n_sub, codebook.size):
+    bases, coef = distance_affine(codebook, ws, n_sub)
+    k_total, g_count = bases.shape
+    bases = np.ascontiguousarray(bases.T)  # (G, K): a strided row would slow the subtraction
+    coef = coef.reshape(k_total, g_count, n_sub).transpose(1, 2, 0)  # (G, n_sub, K)
+    patterns = 1 << n_sub
+    step = max(1, BLOCK_VALUES // (patterns * k_total))
+    pattern_blocks = list(_row_blocks(patterns, k_total))  # one block when step > 1
+    for start in range(0, g_count, step):
+        groups = slice(start, min(start + step, g_count))
+        for rows in pattern_blocks:
             bits = (np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1
-            scores = (1.0 - 2.0 * bits) @ coef.T
-            yield g, rows, np.subtract(base, scores, out=scores)  # one block, not two
+            scores = np.matmul(1.0 - 2.0 * bits, coef[groups])
+            yield groups, rows, np.subtract(bases[groups, None], scores, out=scores)
 
 
 def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:
@@ -468,6 +480,21 @@ def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:
     return picks
 
 
+def _rank(codebook: Codebook, ws: WeightSet, cfg: SphereConfig, visit=None) -> SphereTable:
+    """The sphere table of :func:`build_sphere_table`, ranked block by
+    block of :func:`_sub_scores`. After a block's lists are written,
+    ``visit(group slice, scores)``, when given, receives its scores with
+    every listed cell set to +inf, and may overwrite them."""
+    table = np.empty((cfg.group_count(codebook.n_outputs, codebook.size), 1 << cfg.n_sub,
+                      cfg.list_size), dtype=np.uint32)
+    for groups, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
+        picks = _nearest(d.reshape(-1, codebook.size), cfg.list_size)
+        table[groups, rows] = picks.reshape(*d.shape[:2], cfg.list_size)
+        if visit is not None:
+            visit(groups, d)
+    return SphereTable(table, codebook.size)
+
+
 def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> SphereTable:
     """Rank every sub-codeword against every sub-vector pattern.
 
@@ -479,13 +506,12 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     Costs L passes over the K scores of each of the G * 2^n_sub patterns,
     O(G 2^n_sub L K), against O(G 2^n_sub K log K) for a full sort: the
     paper's regime is L << K. At K = 4096 the passes beat a stable sort
-    up to L of about 200.
+    up to L of about 200. The passes run on the blocks of
+    :func:`_sub_scores`, several small groups at a time. At the end the
+    table is held twice, the filled array and the :class:`SphereTable`'s
+    private copy of it.
     """
-    g_count = cfg.group_count(codebook.n_outputs, codebook.size)
-    table = np.empty((g_count, 1 << cfg.n_sub, cfg.list_size), dtype=np.uint32)
-    for g, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
-        table[g, rows] = _nearest(d, cfg.list_size)
-    return SphereTable(table, codebook.size)
+    return _rank(codebook, ws, cfg)
 
 
 def assemble_list(y, table: SphereTable) -> np.ndarray:

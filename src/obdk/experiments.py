@@ -158,8 +158,11 @@ def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
     """Reject missing sphere parameters, run the rules of :class:`SphereConfig`
     for each of ``list_sizes`` in order (empty: no table), then reject a
     per-block state above :data:`STATE_BUDGET_BYTES` before anything is
-    enumerated: K x 2N x (4 * 8 + 1) bytes, plus G * 2^ns * L * 4 for a
-    table with lists of the longest L."""
+    enumerated: K x 2N x (4 * 8 + 1) bytes, plus, with a table, G * 2^ns
+    * L * 4 bytes for lists of the longest L twice (a table build holds
+    the filled array and the table's private copy at once) and G * K * 8
+    for the unlisted mass that ``sep`` and ``bound`` sum beside it
+    (charged with every table)."""
     two_n = 2 * cfg.antennas
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     need = k_total * two_n * (4 * 8 + 1)
@@ -170,7 +173,7 @@ def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
             raise ConfigError("--list-size is required when the sphere decoder is selected")
         for lsz in list_sizes:
             groups = SphereConfig(cfg.n_sub, lsz).group_count(two_n, k_total)
-        need += groups * (1 << cfg.n_sub) * max(list_sizes) * 4
+        need += 2 * groups * (1 << cfg.n_sub) * max(list_sizes) * 4 + groups * k_total * 8
     if need > STATE_BUDGET_BYTES:
         raise ConfigError(
             f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
@@ -356,10 +359,12 @@ def _detect_block(detectors, cfg: ExperimentConfig, rng: np.random.Generator, cb
 
 def _sep_block(cfg: ExperimentConfig, rng: np.random.Generator, cb: Codebook,
                ch: RealChannel) -> tuple:
-    """(misses, losses, summed list length, clamped bound)."""
-    (full, narrowed), ws = _receivers(cb, ch, ("mwd", SphereConfig(cfg.n_sub, cfg.list_size)))
-    counts = _sphere_counts(ch, cb, cfg.trials, rng, full, narrowed)
-    return (*counts, _clamped_bound(SepBoundInputs(cb, ws, narrowed.table)))
+    """(misses, losses, summed list length, clamped bound); the sphere
+    receiver searches the table that the bound's sweep ranked."""
+    (full,), ws = _receivers(cb, ch, ("mwd",))
+    inputs = SepBoundInputs.build(cb, ws, SphereConfig(cfg.n_sub, cfg.list_size))
+    sphere = Receiver(full.base, full.coef, inputs.table)
+    return (*_sphere_counts(ch, cb, cfg.trials, rng, full, sphere), _clamped_bound(inputs))
 
 
 def _bound_block(cfg: ExperimentConfig, _rng, cb: Codebook, ch: RealChannel) -> tuple:

@@ -60,7 +60,7 @@ def q_hat(x):
     return 0.5 * np.exp(-Q_HAT_A * a * a - Q_HAT_B * a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSet:
     """Per-codeword mismatch (w) and match (w_tilde) weights, K x 2N each.
 

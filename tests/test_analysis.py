@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from obdk import (
     ComplexityQuery,
@@ -104,19 +104,66 @@ BOUND_CASES = {
 }
 
 
+# Approximate weights, as the experiments use them, at 30 and 50 dB.
+HIGH_SNR_CASES = {
+    "30db-u2n8-ns4-l2": ((2, 8, "qam4", 1e-3, 70), "approx", 4, 2, None),
+    "50db-u2n8-ns4-l2": ((2, 8, "qam4", 1e-5, 71), "approx", 4, 2, None),
+    "30db-u2n8-qam16-ns8-l4": ((2, 8, "qam16", 1e-3, 72), "approx", 8, 4, None),
+    "50db-u2n8-qam16-ns8-l4": ((2, 8, "qam16", 1e-5, 73), "approx", 8, 4, None),
+}
+
+
+def _case_system(case):
+    system, flavor, n_sub, lsz, _ = case
+    ch, table, cb = random_system(*system)
+    if flavor == "exact":
+        ws = compute_weights_exact(ch, table)
+    elif flavor == "approx":
+        ws = compute_weights_approx(ch, table)
+    else:
+        ws = _constant_weights(cb, 0.2)
+    return cb, ws, SphereConfig(n_sub, lsz)
+
+
+def _two_pass_bound(cb, ws, table):
+    """The bound from a second sweep over a built table: each group's
+    sub-scores again, exp(-d) of every cell, the listed cells zeroed."""
+    n_sub = table.n_sub
+    signs = 1.0 - 2.0 * ((np.arange(1 << n_sub)[:, None] >> np.arange(n_sub)) & 1)
+    unlisted = np.zeros((table.group_count, cb.size))
+    for g in range(table.group_count):
+        cols = slice(g * n_sub, (g + 1) * n_sub)
+        w, wt = ws.w[:, cols], ws.w_tilde[:, cols]
+        base = wt.sum(axis=1) + 0.5 * (w - wt).sum(axis=1)
+        mass = np.exp(-(base - signs @ (0.5 * ((w - wt) * cb.codewords[:, cols])).T))
+        np.put_along_axis(mass, table.indices[g], 0.0, axis=1)
+        unlisted[g] = mass.sum(axis=0)
+    return float(unlisted.prod(axis=0).mean())
+
+
 class TestSepBound:
     @pytest.mark.parametrize("case", sorted(BOUND_CASES))
     def test_equals_unlisted_probability_mass(self, case):
         # The bound is the mass of the observations whose candidate list
         # misses the transmitted index, ties resolved as the decoder does.
-        system, flavor, n_sub, lsz, exact = BOUND_CASES[case]
-        ch, table, cb = random_system(*system)
-        ws = compute_weights_exact(ch, table) if flavor == "exact" else _constant_weights(cb, 0.2)
-        inputs = SepBoundInputs.build(cb, ws, SphereConfig(n_sub, lsz))
+        cb, ws, cfg = _case_system(BOUND_CASES[case])
+        inputs = SepBoundInputs.build(cb, ws, cfg)
         got = sep_bound(inputs)
         assert_allclose(got, _unlisted_mass(cb, ws, inputs.table), rtol=1e-12)
+        exact = BOUND_CASES[case][-1]
         if exact is not None:
             assert_allclose(got, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES) + sorted(HIGH_SNR_CASES))
+    def test_one_pass_equals_two_passes(self, case):
+        # The mass summed while the table is ranked is the mass of a second
+        # sweep over the built table, bit for bit, and the table is the one
+        # build_sphere_table makes.
+        cb, ws, cfg = _case_system({**BOUND_CASES, **HIGH_SNR_CASES}[case])
+        inputs = SepBoundInputs.build(cb, ws, cfg)
+        table = build_sphere_table(cb, ws, cfg)
+        assert_array_equal(inputs.table.indices, table.indices)
+        assert sep_bound(inputs).hex() == _two_pass_bound(cb, ws, table).hex()
 
     def test_memory_does_not_grow_as_k_squared(self):
         ch, table, cb = random_system(5, 16, "qam4", 1.0, seed=57)

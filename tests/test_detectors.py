@@ -13,6 +13,7 @@ from scipy.special import ndtr
 
 from obdk import (
     Codebook,
+    ComplexChannel,
     ComplexityQuery,
     ConfigError,
     ExperimentConfig,
@@ -55,11 +56,13 @@ from obdk.detectors import (
     _nearest,
     _prepared,
     _row_blocks,
+    _sub_scores,
     distance_affine,
     loglik_affine,
 )
+from obdk.analysis import SepBoundInputs, sep_bound
 from obdk.experiments import validate_sep_config
-from conftest import example_system, random_system
+from conftest import EXAMPLE_HBAR, example_system, random_system
 
 
 def _all_observations(n):
@@ -568,6 +571,28 @@ class TestPreparedFullSearch:
         assert ch2.noise_variance == ch.noise_variance
         assert (detect_mwd(y, cb2, ws2), detect_mld(y, cb2, ch2)) == want
 
+    def test_array_holders_compare_by_identity(self):
+        # Twins of equal content compare unequal, where comparing their
+        # arrays would raise, and each keys a dict of its own: a kept
+        # receiver is found again only for the same objects (_prepared).
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=49)
+        ws = compute_weights_approx(ch, table)
+        cfg = SphereConfig(4, 2)
+        twins = [
+            (make_constellation("qam4"), make_constellation("qam4")),
+            (table, enumerate_symbol_vectors(make_constellation("qam4"), 2)),
+            (cb, build_codebook(ch, table)),
+            (ComplexChannel(EXAMPLE_HBAR), ComplexChannel(EXAMPLE_HBAR.copy())),
+            (ch, RealChannel(ch.entries, ch.noise_variance)),
+            (ws, compute_weights_approx(ch, table)),
+            (build_sphere_table(cb, ws, cfg), build_sphere_table(cb, ws, cfg)),
+            (Receiver(*distance_affine(cb, ws)), Receiver(*distance_affine(cb, ws))),
+            (SepBoundInputs.build(cb, ws, cfg), SepBoundInputs.build(cb, ws, cfg)),
+        ]
+        for a, b in twins:
+            assert a == a and a != b
+            assert {a: 0, b: 1}[b] == 1
+
     def test_kept_sphere_receiver_follows_its_inputs(self):
         # One weight set, its sphere receiver switched between tables (of
         # another L, then of another n_sub) and codebooks: every call
@@ -982,11 +1007,16 @@ class TestReceiverProperties:
 
         def outputs():
             sphere = build_sphere_table(cb, ws, cfg)
+            bound = np.float64(sep_bound(SepBoundInputs.build(cb, ws, cfg)))
             return [sphere.indices, *Receiver(base, coef).detect(obs),
-                    *Receiver(base, coef, sphere).detect(obs)]
+                    *Receiver(base, coef, sphere).detect(obs), bound]
 
         default = outputs()
         monkeypatch.setattr(obdk.detectors, "BLOCK_VALUES", block_values)
+        # 2^10 values split each of the 8 groups of 256 x 4096 sub-scores
+        # into pattern blocks of two rows; 2^22 stack 4 groups in a block.
+        sub_block = {1 << 10: (1, 2, 4096), 1 << 22: (4, 256, 4096)}[block_values]
+        assert {d.shape for _, _, d in _sub_scores(cb, ws, cfg.n_sub)} == {sub_block}
         for got, want in zip(outputs(), default, strict=True):
             assert got.dtype == want.dtype
             assert_array_equal(got, want)

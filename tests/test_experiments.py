@@ -206,6 +206,25 @@ class TestSepExperiment:
         assert a == b
 
 
+@pytest.mark.parametrize("run", [run_sep_experiment, obdk.experiments.run_bound_sweep])
+def test_one_sub_score_sweep_per_channel_and_snr(run, monkeypatch):
+    # The table and the bound come from one sweep of the sub-codeword
+    # scores; every binding of the sweep in the package is counted.
+    sweep = obdk.detectors._sub_scores
+    sweeps = []
+
+    def counted(codebook, ws, n_sub):
+        sweeps.append(n_sub)
+        return sweep(codebook, ws, n_sub)
+
+    for module in (obdk.detectors, obdk.analysis, obdk.experiments):
+        if getattr(module, "_sub_scores", None) is sweep:
+            monkeypatch.setattr(module, "_sub_scores", counted)
+    cfg = _small_cfg(snr_db=(0.0, 6.0, 30.0), channels=2, trials=50)
+    run(cfg)
+    assert sweeps == [cfg.n_sub] * (len(cfg.snr_db) * cfg.channels)
+
+
 @pytest.mark.parametrize("run, first", [
     (run_ser_experiment, slice(0, None, 2)),  # detector-major rows
     (run_sep_experiment, slice(0, 3)),  # SNR-major rows
@@ -386,7 +405,7 @@ class TestStateBudget:
 
         monkeypatch.setattr(obdk.experiments, "enumerate_symbol_vectors", enumerate_nothing)
         big = _small_cfg(users=6, antennas=32, modulation="qam16", n_sub=8, list_size=4)
-        need = 2**24 * 64 * (4 * 8 + 1) + 8 * 2**8 * 4 * 4
+        need = 2**24 * 64 * (4 * 8 + 1) + 2 * 8 * 2**8 * 4 * 4 + 8 * 2**24 * 8
         for check in (validate_ser_config, validate_sep_config, run_ser_experiment,
                       run_sep_experiment):
             with pytest.raises(ConfigError, match=f"needs {need} bytes"):
@@ -405,6 +424,17 @@ class TestStateBudget:
         with pytest.raises(ConfigError, match="budget"):
             validate_tradeoff_config(replace(cfg, list_sizes=(4, 200)))
         validate_sep_config(replace(cfg, list_size=4))
+
+    def test_table_counts_twice(self, monkeypatch):
+        # A table build holds the filled array and the table's private copy
+        # at once; sep and bound also hold the (G, K) unlisted mass.
+        cfg = _small_cfg(n_sub=8, list_size=8)  # K = 16, 2N = 8: one group of 256 lists
+        state, table, mass = 16 * 8 * (4 * 8 + 1), 256 * 8 * 4, 16 * 8
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", state + table + mass)
+        with pytest.raises(ConfigError, match=f"needs {state + 2 * table + mass} bytes"):
+            validate_sep_config(cfg)
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", state + 2 * table + mass)
+        validate_sep_config(cfg)
 
 
 class TestBoundedMemory:
