@@ -17,14 +17,15 @@ All distances are affine in the +/-1 observation: d_k(y) = base_k -
 coef_k . y. Every detector is therefore one :class:`Receiver`, the
 affine form (plus the table for the sphere decoder) prepared once per
 coherence block; ties always resolve to the smallest codeword index.
-The ``detect_*`` functions keep the full-search receiver they prepare
-in their weight set (or channel), one per form, and reuse it while the
-codebook stays the same; ``detect_osd`` keeps beside it a sphere
-receiver over the kept distance form, until another codebook or table
-replaces it. The arrays of those objects and of sphere tables are
-read-only, so a kept receiver cannot go stale. Every sphere search looks
-its lists up by pattern keys from one float64 product, exact in any
-summation order (see ``_candidates``).
+A weight set (or channel) keeps the receivers prepared from it, one per
+form, while the codebook stays the same. A weight set holds one
+distance form, built by whichever of :func:`build_sphere_table`,
+``SepBoundInputs.build``, ``detect_*`` or ``compute_llrs`` runs first;
+``detect_osd`` keeps beside it a sphere receiver over that form, until
+another codebook or table replaces it. The arrays of those objects and
+of sphere tables are read-only, so a kept receiver cannot go stale.
+Every sphere search looks its lists up by pattern keys from one float64
+product, exact in any summation order (see ``_candidates``).
 """
 
 from __future__ import annotations
@@ -192,18 +193,13 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def distance_affine(codebook: Codebook, ws: WeightSet, n_sub: int | None = None):
+def distance_affine(codebook: Codebook, ws: WeightSet):
     """Affine form of the weighted Hamming distance, d_k(y) = base - coef @ y.
 
-    Returns (base, coef), coef of shape (K, 2N). Without ``n_sub``, base
-    has shape (K,). With ``n_sub`` it holds the (K, G) bases of the G =
-    2N / n_sub groups of n_sub consecutive positions: sub-codeword g of k
-    scores base[k, g] - coef[k, g n_sub:(g + 1) n_sub] @ y_g (used for
-    sub-codeword scoring, see :func:`_sub_scores`).
+    Returns (base, coef) of shapes (K,) and (K, 2N).
     """
     diff = ws.w - ws.w_tilde
-    shape = (len(diff), -1) if n_sub is None else (len(diff), -1, n_sub)
-    base = ws.w_tilde.reshape(shape).sum(axis=-1) + 0.5 * diff.reshape(shape).sum(axis=-1)
+    base = ws.w_tilde.sum(axis=1) + 0.5 * diff.sum(axis=1)
     coef = np.multiply(diff, codebook.codewords, out=diff)  # c is +/-1 and scaling by 0.5 is exact
     coef *= 0.5
     return base, coef
@@ -445,14 +441,18 @@ def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     of a group's scores belongs to the signs :func:`pattern_signs` (p,
     n_sub). The groups of a block come from one broadcast product of the
     pattern signs with each group's coefficients, a strided (n_sub, K)
-    view of ``coef`` that BLAS takes as it is, so a group's scores have
-    the same bits however many groups share its block. Each block is a
-    fresh C-ordered array that the caller may overwrite.
+    view of the ``coef`` that ``ws`` keeps (see :func:`_prepared`) that
+    BLAS takes as it is, so a group's scores have the same bits however
+    many groups share its block. Each block is a fresh C-ordered array
+    that the caller may overwrite.
     """
-    bases, coef = distance_affine(codebook, ws, n_sub)
-    k_total, g_count = bases.shape
+    coef = _prepared(ws, distance_affine, codebook).coef
+    shape = (codebook.size, coef.shape[1] // n_sub, n_sub)
+    bases = 0.5 * (ws.w - ws.w_tilde).reshape(shape).sum(axis=-1)
+    bases = ws.w_tilde.reshape(shape).sum(axis=-1) + bases  # distance_affine's base per group
     bases = np.ascontiguousarray(bases.T)  # (G, K): a strided row would slow the subtraction
-    coef = coef.reshape(k_total, g_count, n_sub).transpose(1, 2, 0)  # (G, n_sub, K)
+    k_total, g_count = codebook.size, len(bases)
+    coef = coef.reshape(shape).transpose(1, 2, 0)  # (G, n_sub, K)
     patterns = 1 << n_sub
     step = max(1, BLOCK_VALUES // (patterns * k_total))
     pattern_blocks = list(_row_blocks(patterns, k_total))  # one block when step > 1

@@ -28,7 +28,6 @@ from .codebook import (SCHEMES, Codebook, build_codebook, enumerate_symbol_vecto
                        make_constellation)
 from .detectors import (
     ConfigError,
-    Receiver,
     SphereConfig,
     build_sphere_table,
     distance_affine,
@@ -241,18 +240,16 @@ def single_block(cfg: ExperimentConfig, snr_db: float, y=None):
     return cb, ws, build_sphere_table(cb, ws, SphereConfig(cfg.n_sub, cfg.list_size))
 
 
-def _receivers(cb, ch: RealChannel, detectors):
+def _receivers(cb, ch: RealChannel, detectors) -> list:
     """Prepared receivers of one block, one per entry of ``detectors``: a
     full-search detector name, or a SphereConfig for the sphere decoder.
-    Also returns the approximate weights (None if no entry needs them).
 
     Sphere entries share one n_sub, so one table at the longest list
     serves them all: a shorter list is a prefix of a longer one, both
     being the head of one (score, index) order."""
-    ws = full = None
+    ws = None
     if any(d not in ("mld", "mwd-exact") for d in detectors):
         ws = compute_weights_approx(ch, cb.symbols)
-        full = _prepared(ws, distance_affine, cb)
     spheres = [d for d in detectors if isinstance(d, SphereConfig)]
     if spheres:
         longest = build_sphere_table(cb, ws, max(spheres, key=lambda c: c.list_size))
@@ -263,13 +260,13 @@ def _receivers(cb, ch: RealChannel, detectors):
         elif det == "mwd-exact":
             receivers.append(_prepared(compute_weights_exact(ch, cb.symbols), distance_affine, cb))
         elif det == "mwd":
-            receivers.append(full)
+            receivers.append(_prepared(ws, distance_affine, cb))
         elif det == "mwd-hs":
             receivers.append(_prepared(ws, _mismatch_affine, cb))
         else:
             head = replace(longest, indices=longest.indices[..., :det.list_size])
-            receivers.append(Receiver(full.base, full.coef, head))
-    return receivers, ws
+            receivers.append(_prepared(ws, distance_affine, cb, head))
+    return receivers
 
 
 def _distinct_rows(obs: np.ndarray):
@@ -322,7 +319,7 @@ def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.rando
 
 
 def _sphere_counts(ch: RealChannel, codebook: Codebook, trials: int, rng: np.random.Generator,
-                   full: Receiver, sphere: Receiver) -> tuple[int, int, int]:
+                   full, sphere) -> tuple[int, int, int]:
     """(list misses, losses, summed list length) of ``trials`` draws of
     :func:`_draw_trials`, counted block by block: a miss is a true index
     absent from its list, a loss a trial that the full search gets right
@@ -348,7 +345,7 @@ def _detect_block(detectors, cfg: ExperimentConfig, rng: np.random.Generator, cb
     """(errors, summed list length) of each receiver of ``detectors`` (see
     :func:`_receivers`) in turn, flattened; every receiver sees the same
     observations."""
-    receivers = _receivers(cb, ch, detectors)[0]
+    receivers = _receivers(cb, ch, detectors)
     totals = np.zeros((len(receivers), 2), dtype=np.int64)
     for ks, distinct, inverse in _draw_trials(ch, cb, cfg.trials, rng, receivers):
         for i, rx in enumerate(receivers):
@@ -361,9 +358,9 @@ def _sep_block(cfg: ExperimentConfig, rng: np.random.Generator, cb: Codebook,
                ch: RealChannel) -> tuple:
     """(misses, losses, summed list length, clamped bound); the sphere
     receiver searches the table that the bound's sweep ranked."""
-    (full,), ws = _receivers(cb, ch, ("mwd",))
+    ws = compute_weights_approx(ch, cb.symbols)
     inputs = SepBoundInputs.build(cb, ws, SphereConfig(cfg.n_sub, cfg.list_size))
-    sphere = Receiver(full.base, full.coef, inputs.table)
+    full, sphere = (_prepared(ws, distance_affine, cb, t) for t in (None, inputs.table))
     return (*_sphere_counts(ch, cb, cfg.trials, rng, full, sphere), _clamped_bound(inputs))
 
 

@@ -558,6 +558,31 @@ class TestPreparedFullSearch:
         assert again == first
         assert peak < 512 * 2**10
 
+    def test_one_distance_form_per_weight_set(self, monkeypatch):
+        # The table build, the bound's sweep, both detectors and the soft
+        # outputs all read the form the first of them built; every
+        # binding of distance_affine in the package is counted.
+        original = obdk.detectors.distance_affine
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        for module in (obdk.detectors, obdk.analysis, obdk.experiments):
+            if getattr(module, "distance_affine", None) is original:
+                monkeypatch.setattr(module, "distance_affine", counted)
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=50)
+        ws = compute_weights_approx(ch, table)
+        cfg = SphereConfig(4, 2)
+        sphere = build_sphere_table(cb, ws, cfg)
+        SepBoundInputs.build(cb, ws, cfg)
+        y = cb.codewords[6]
+        detect_mwd(y, cb, ws)
+        detect_osd(y, sphere, cb, ws)
+        compute_llrs(y, assemble_list(y, sphere), cb, ws, 0)
+        assert calls == [ws]
+
     def test_pickled_copies_are_read_only_and_carry_no_receivers(self):
         ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=45)
         ws = compute_weights_approx(ch, table)

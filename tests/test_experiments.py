@@ -296,7 +296,7 @@ class TestDistinctRows:
         for snr in cfg.snr_db:
             rng, h_entries, cb = _channel_setup(cfg, 0)
             ch = RealChannel(h_entries, snr_db_to_sigma_sq(snr))
-            receivers = _receivers(cb, ch, detectors)[0]
+            receivers = _receivers(cb, ch, detectors)
             for ks, distinct, inverse in _draw_trials(ch, cb, cfg.trials, rng, receivers):
                 obs = distinct[inverse]
                 for rx in receivers:
