@@ -399,9 +399,13 @@ def _prepared(owner, build, codebook: Codebook, table: SphereTable | None = None
 
     ``owner`` (a weight set or a channel) keeps both, one of each per
     ``build``, and hands them out again while ``codebook`` and ``table``
-    are the same objects; another codebook or table replaces them. All
-    hold read-only arrays, so a kept receiver equals a fresh one, and it
-    goes when ``owner`` goes.
+    are the same objects; another codebook or table replaces them, and a
+    receiver already handed out stays valid. All hold read-only arrays,
+    so a kept receiver equals a fresh one, and it goes when ``owner``
+    goes. Table builds (through :func:`_sub_scores`), the ``detect_*``
+    functions, ``compute_llrs`` and the experiment drivers all take
+    their forms and receivers from here, so a weight set's distance form
+    is built once.
     """
     kept = owner.__dict__.setdefault("_receivers", {})
     entry = kept.get((build, table is None))
@@ -431,6 +435,12 @@ def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult
     return _detect_one(_prepared(ws, _mismatch_affine, codebook), y)
 
 
+def _block_signs(rows: slice, n_sub: int) -> np.ndarray:
+    """(patterns, n_sub) float64 :func:`pattern_signs` of the patterns in
+    ``rows``; their int64 bits are freed before the caller's product."""
+    return 1.0 - 2.0 * ((np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1)
+
+
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     """Sub-codeword scores d_k^g(p) of every sub-vector pattern p.
 
@@ -454,13 +464,13 @@ def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     k_total, g_count = codebook.size, len(bases)
     coef = coef.reshape(shape).transpose(1, 2, 0)  # (G, n_sub, K)
     patterns = 1 << n_sub
-    step = max(1, BLOCK_VALUES // (patterns * k_total))
-    pattern_blocks = list(_row_blocks(patterns, k_total))  # one block when step > 1
+    width = max(k_total, n_sub)  # a pattern's scores, or its signs when those are longer
+    step = max(1, BLOCK_VALUES // (patterns * width))
+    pattern_blocks = list(_row_blocks(patterns, width))  # one block when step > 1
     for start in range(0, g_count, step):
         groups = slice(start, min(start + step, g_count))
         for rows in pattern_blocks:
-            bits = (np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1
-            scores = np.matmul(1.0 - 2.0 * bits, coef[groups])
+            scores = np.matmul(_block_signs(rows, n_sub), coef[groups])
             yield groups, rows, np.subtract(bases[groups, None], scores, out=scores)
 
 
@@ -492,6 +502,7 @@ def _rank(codebook: Codebook, ws: WeightSet, cfg: SphereConfig, visit=None) -> S
         table[groups, rows] = picks.reshape(*d.shape[:2], cfg.list_size)
         if visit is not None:
             visit(groups, d)
+    del d, picks  # the last block goes before the table is copied
     return SphereTable(table, codebook.size)
 
 
@@ -530,11 +541,11 @@ def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> Dete
     """Weighted-distance rule restricted to the assembled candidate list.
 
     ``ws`` keeps the sphere receiver of ``table`` and ``codebook``, which
-    searches the listed rows of the distance form kept for
-    :func:`detect_mwd`: the first call on a weight set builds that form,
-    O(K * 2N), and later calls cost O(G * L * 2N), until another codebook
-    or table replaces the receiver. Ties go to the smallest codeword
-    index.
+    searches the listed rows of the weight set's one distance form. A
+    table built from ``ws`` has built that form already; otherwise the
+    first call builds it, O(K * 2N). Later calls cost O(G * L * 2N),
+    until another codebook or table replaces the receiver. Ties go to
+    the smallest codeword index.
     """
     return _detect_one(_prepared(ws, distance_affine, codebook, table), y)
 

@@ -27,6 +27,7 @@ from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream
 from .codebook import (SCHEMES, Codebook, build_codebook, enumerate_symbol_vectors,
                        make_constellation)
 from .detectors import (
+    BLOCK_VALUES,
     ConfigError,
     SphereConfig,
     build_sphere_table,
@@ -52,11 +53,25 @@ CSV_COLUMNS = (
     "seed",
 )
 
-# Largest per-block state an experiment may hold (1 GiB): the codewords
-# and four K x 2N float64 arrays (weights, affine coefficients) plus the
-# sphere table. Larger systems fail in validation instead of being killed
-# for memory part way through.
+# Largest per-block state an experiment may hold (1 GiB; see
+# _check_sphere). Larger systems fail in validation instead of being
+# killed for memory part way through.
 STATE_BUDGET_BYTES = 1 << 30
+
+# What each step of a block keeps, and what it holds beyond that at its
+# peak, in bytes per entry of a K x 2N array (tracemalloc, numpy 2.4):
+# int8 codewords after their float64 product; the approximate w and
+# w_tilde after their terms and copies; and the float64 coef of each
+# full-search form (its K-entry base is charged apart) after the terms
+# of the log-likelihood, or of the exact weights, which it then drops.
+_STEP_BYTES = {
+    "codebook": (1, 9),
+    "weights": (16, 25),
+    "mld": (8, 32),
+    "mwd-exact": (8, 40),
+    "mwd": (8, 0),
+    "mwd-hs": (8, 0),
+}
 
 # Longest observation whose rows the trial draws key exactly in float64
 # (see _distinct_rows); wider blocks are scored as drawn.
@@ -153,18 +168,38 @@ def _check_common(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
 
 
-def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
+def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = False) -> None:
     """Reject missing sphere parameters, run the rules of :class:`SphereConfig`
     for each of ``list_sizes`` in order (empty: no table), then reject a
     per-block state above :data:`STATE_BUDGET_BYTES` before anything is
-    enumerated: K x 2N x (4 * 8 + 1) bytes, plus, with a table, G * 2^ns
-    * L * 4 bytes for lists of the longest L twice (a table build holds
-    the filled array and the table's private copy at once) and G * K * 8
-    for the unlisted mass that ``sep`` and ``bound`` sum beside it
-    (charged with every table)."""
+    enumerated.
+
+    A block of ``detectors`` (full-search names, ``osd`` for the sphere
+    decoder) is charged what its steps keep and the largest extra that
+    one step holds at its peak (see :data:`_STEP_BYTES`). Kept: the
+    K x 2U float64 symbol vectors, the codebook, the approximate weights
+    when ``mwd``, ``mwd-hs`` or ``osd`` needs them, each full-search
+    form (``osd`` searches that of ``mwd``), the table of the longest
+    list, a copy of the table for each shorter list, and with ``mass``
+    the (G, K) float64 unlisted mass of the bound. Peak extras: three
+    times the symbol vectors while they are enumerated, the steps' own,
+    and for a table build a second copy of the table (the filled array
+    beside the table's private copy), one K x 2N float64 term and two
+    (G, K) arrays of group bases. On top come the 8-byte trial indices,
+    all drawn at once, and three temporaries of BLOCK_VALUES float64
+    values for the work done in row blocks."""
     two_n = 2 * cfg.antennas
     k_total = make_constellation(cfg.modulation).size ** cfg.users
-    need = k_total * two_n * (4 * 8 + 1)
+    entries, vectors = k_total * two_n, k_total * 2 * cfg.users * 8
+    steps = {"codebook", *detectors}
+    if "osd" in steps:
+        steps.add("mwd")
+    if steps & {"mwd", "mwd-hs"}:
+        steps.add("weights")
+    steps &= _STEP_BYTES.keys()
+    forms = steps - {"codebook", "weights"}
+    kept = vectors + 8 * k_total * len(forms) + entries * sum(_STEP_BYTES[s][0] for s in steps)
+    extra = max(3 * vectors, *(entries * _STEP_BYTES[s][1] for s in steps))
     if list_sizes:
         if cfg.n_sub is None:
             raise ConfigError("--ns is required when the sphere decoder is selected")
@@ -172,7 +207,11 @@ def _check_sphere(cfg: ExperimentConfig, list_sizes=()) -> None:
             raise ConfigError("--list-size is required when the sphere decoder is selected")
         for lsz in list_sizes:
             groups = SphereConfig(cfg.n_sub, lsz).group_count(two_n, k_total)
-        need += 2 * groups * (1 << cfg.n_sub) * max(list_sizes) * 4 + groups * k_total * 8
+        lists, longest = groups * (1 << cfg.n_sub) * 4, max(list_sizes)
+        kept += lists * (longest + sum(lsz for lsz in list_sizes if lsz < longest))
+        kept += 8 * groups * k_total * mass
+        extra = max(extra, lists * longest + 8 * entries + 2 * 8 * groups * k_total)
+    need = kept + extra + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
     if need > STATE_BUDGET_BYTES:
         raise ConfigError(
             f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
@@ -190,12 +229,12 @@ def validate_ser_config(cfg: ExperimentConfig) -> None:
     sphere = "osd" in cfg.detectors
     if not sphere and (cfg.n_sub is not None or cfg.list_size is not None):
         raise ConfigError("--ns/--list-size are only valid when 'osd' is selected")
-    _check_sphere(cfg, (cfg.list_size,) if sphere else ())
+    _check_sphere(cfg, cfg.detectors, (cfg.list_size,) if sphere else ())
 
 
 def validate_sep_config(cfg: ExperimentConfig) -> None:
     _check_common(cfg)
-    _check_sphere(cfg, (cfg.list_size,))
+    _check_sphere(cfg, ("mwd", "osd"), (cfg.list_size,), mass=True)
 
 
 def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
@@ -206,7 +245,7 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--ns is required for the tradeoff sweep")
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
-    _check_sphere(cfg, cfg.list_sizes)
+    _check_sphere(cfg, ("mld", "osd"), cfg.list_sizes)
 
 
 def _channel_setup(cfg: ExperimentConfig, channel_index: int):
@@ -246,7 +285,9 @@ def _receivers(cb, ch: RealChannel, detectors) -> list:
 
     Sphere entries share one n_sub, so one table at the longest list
     serves them all: a shorter list is a prefix of a longer one, both
-    being the head of one (score, index) order."""
+    being the head of one (score, index) order. The longest list
+    searches that table, and each shorter one a private copy of its
+    prefix (see :func:`_check_sphere`)."""
     ws = None
     if any(d not in ("mld", "mwd-exact") for d in detectors):
         ws = compute_weights_approx(ch, cb.symbols)
@@ -264,7 +305,9 @@ def _receivers(cb, ch: RealChannel, detectors) -> list:
         elif det == "mwd-hs":
             receivers.append(_prepared(ws, _mismatch_affine, cb))
         else:
-            head = replace(longest, indices=longest.indices[..., :det.list_size])
+            head = longest
+            if det.list_size < longest.list_size:
+                head = replace(longest, indices=longest.indices[..., :det.list_size])
             receivers.append(_prepared(ws, distance_affine, cb, head))
     return receivers
 

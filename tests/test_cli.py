@@ -127,10 +127,12 @@ class TestUsageErrors:
     ["ser", "-U", "6", "-N", "32", "--mod", "qam16", "--trials", "1", "--channels", "1"],
     ["table-build", "-U", "4", "-N", "20", "--mod", "qam16", "--snr-db", "5", "--ns", "20",
      "--list-size", "200", "--out", os.devnull],
+    ["ser", "-U", "1", "-N", "1", "--trials", "2000000000", "--channels", "1"],
 ])
 def test_state_beyond_memory_budget_is_a_usage_error(capsys, argv):
-    # K = 2^24 codewords of length 64 (about 35 GB), and a 1.7 GB sphere
-    # table: refused before the codebook is enumerated, stating the bytes.
+    # K = 2^24 codewords of length 64 (about 35 GB), a 1.7 GB sphere
+    # table, and 16 GB of trial indices: refused before the codebook is
+    # enumerated or a trial drawn, stating the bytes.
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert "bytes of state" in err and "budget" in err
@@ -154,7 +156,7 @@ def test_state_beyond_memory_budget_is_a_usage_error(capsys, argv):
      "--ns/--list-size are only valid when 'osd' is selected"),
     (["tradeoff", "-U", "4", "-N", "20", "--mod", "qam16", "--ns", "20", "--list-sizes", "200,4",
       *FEW],
-     "a block of K = 65536 codewords of length 2N = 40 needs 3442999296 bytes of state, "
+     "a block of K = 65536 codewords of length 2N = 40 needs 3516399696 bytes of state, "
      "above the budget of 1073741824 bytes"),
 ])
 def test_sphere_check_precedence(capsys, argv, message):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -31,6 +32,7 @@ from obdk import (
     wilson_interval,
 )
 from obdk.detectors import BLOCK_VALUES, distance_affine
+from obdk.weights import log_q
 from obdk.experiments import (
     CSV_COLUMNS,
     DETECTOR_NAMES,
@@ -405,9 +407,16 @@ class TestStateBudget:
 
         monkeypatch.setattr(obdk.experiments, "enumerate_symbol_vectors", enumerate_nothing)
         big = _small_cfg(users=6, antennas=32, modulation="qam16", n_sub=8, list_size=4)
-        need = 2**24 * 64 * (4 * 8 + 1) + 2 * 8 * 2**8 * 4 * 4 + 8 * 2**24 * 8
-        for check in (validate_ser_config, validate_sep_config, run_ser_experiment,
-                      run_sep_experiment):
+        k, entries, vectors, table = 2**24, 2**24 * 64, 2**24 * 12 * 8, 8 * 2**8 * 4 * 4
+        fixed = vectors + table + 8 * big.trials + 3 * 8 * BLOCK_VALUES
+        # ser (mld, mwd, osd) keeps the codewords, the weights and two
+        # forms with their bases, 33 bytes an entry, and peaks in the
+        # log-likelihood's tail terms; sep keeps one form and the (G, K)
+        # unlisted mass, and peaks in the weights' terms.
+        needs = {validate_ser_config: fixed + 2 * 8 * k + 33 * entries + 32 * entries,
+                 validate_sep_config: fixed + 8 * k + 25 * entries + 8 * 8 * k + 25 * entries}
+        needs[run_ser_experiment], needs[run_sep_experiment] = needs.values()
+        for check, need in needs.items():
             with pytest.raises(ConfigError, match=f"needs {need} bytes"):
                 check(big)
         with pytest.raises(ConfigError, match="budget"):
@@ -416,8 +425,9 @@ class TestStateBudget:
             validate_tradeoff_config(replace(big, list_sizes=(1, 4)))
 
     def test_sphere_table_counts_toward_budget(self):
-        # K = 2^16 at 2N = 40 holds 86 MB; lists of 200 entries over
-        # 2 x 2^20 patterns add 1.7 GB of table, lists of 4 only 34 MB.
+        # K = 2^16 at 2N = 40: sep is charged about 150 MB besides its
+        # table; lists of 200 entries over 2 x 2^20 patterns add 1.7 GB
+        # of table, held twice by the build, lists of 4 only 34 MB.
         cfg = _small_cfg(users=4, antennas=20, modulation="qam16", n_sub=20, list_size=200)
         with pytest.raises(ConfigError, match="budget"):
             validate_sep_config(cfg)
@@ -427,14 +437,29 @@ class TestStateBudget:
 
     def test_table_counts_twice(self, monkeypatch):
         # A table build holds the filled array and the table's private copy
-        # at once; sep and bound also hold the (G, K) unlisted mass.
+        # at once, beside one K x 2N term and two (G, K) arrays of group
+        # bases; sep and bound also keep the (G, K) unlisted mass.
         cfg = _small_cfg(n_sub=8, list_size=8)  # K = 16, 2N = 8: one group of 256 lists
-        state, table, mass = 16 * 8 * (4 * 8 + 1), 256 * 8 * 4, 16 * 8
-        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", state + table + mass)
-        with pytest.raises(ConfigError, match=f"needs {state + 2 * table + mass} bytes"):
+        table = 256 * 8 * 4
+        # symbol vectors, mwd's base, codewords + weights + coef, mass
+        kept = 16 * 4 * 8 + 16 * 8 + 25 * 16 * 8 + 16 * 8
+        need = kept + 2 * table + 8 * 16 * 8 + 2 * 16 * 8 + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", need - table)
+        with pytest.raises(ConfigError, match=f"needs {need} bytes"):
             validate_sep_config(cfg)
-        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", state + 2 * table + mass)
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", need)
         validate_sep_config(cfg)
+
+    def test_trial_indices_count_toward_budget(self):
+        # All indices are drawn at once, 8 bytes a trial: 2e9 trials would
+        # allocate 16 GB before the first block.
+        cfg = ExperimentConfig(users=1, antennas=1, trials=2_000_000_000)
+        sphere = replace(cfg, n_sub=2, list_size=1, list_sizes=(1,))
+        for check, checked in ((validate_ser_config, cfg), (validate_sep_config, sphere),
+                               (validate_tradeoff_config, sphere)):
+            with pytest.raises(ConfigError, match="budget"):
+                check(checked)
+        validate_ser_config(replace(cfg, trials=100_000_000))
 
 
 class TestBoundedMemory:
@@ -442,6 +467,7 @@ class TestBoundedMemory:
         # 200 000 trials: all indices are drawn at once (8 bytes a trial),
         # observations and scores in blocks of at most BLOCK_VALUES values.
         cfg = _small_cfg(snr_db=(3.0,), trials=200_000, channels=1)
+        log_q(0.0)  # the first call imports scipy.special, once per process
         for run in (run_ser_experiment, run_sep_experiment):
             tracemalloc.start()
             try:
@@ -450,6 +476,46 @@ class TestBoundedMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
+
+    # -U 4 -N 16 qam16 --ns 8: K = 2^16, one K x 2N float64 array is 16 MB
+    # and each table at most 1 MB. Sphere heads: the tradeoff case at
+    # -U 2 -N 9 --ns 18 has a 15 MB table at L = 15 and an 8 MB one at 8.
+    BIG = dict(users=4, antennas=16, modulation="qam16", n_sub=8, list_size=4, trials=100,
+               channels=1, snr_db=(5.0,))
+    HEADS = dict(users=2, antennas=9, modulation="qam4", n_sub=18, list_size=None,
+                 list_sizes=(8, 15), trials=100, channels=1, snr_db=(5.0,))
+    COMMANDS = {
+        "ser": (BIG, validate_ser_config, run_ser_experiment),
+        "sep": (BIG, validate_sep_config, run_sep_experiment),
+        "bound": (BIG, validate_sep_config, obdk.experiments.run_bound_sweep),
+        "tradeoff": (dict(BIG, list_sizes=(4, 16, 64)), validate_tradeoff_config,
+                     run_tradeoff_sweep),
+        "tradeoff-heads": (HEADS, validate_tradeoff_config, run_tradeoff_sweep),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_block_peak_within_charge(self, command, monkeypatch):
+        # One channel at one SNR is one block; ser runs all five detectors.
+        fields, validate, run = self.COMMANDS[command]
+        cfg = ExperimentConfig(detectors=DETECTOR_NAMES, seed=3, **fields)
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", 0)
+        with pytest.raises(ConfigError) as refused:
+            validate(cfg)
+        charge = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+        monkeypatch.undo()
+        log_q(0.0)  # the first call imports scipy.special, once per process
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge
+        if command == "tradeoff-heads":
+            # The longest list searches the built table itself: the block
+            # peaks at the build's two copies of it, not 2.5 tables as when
+            # the longest list held a copy beside the shorter one's.
+            assert peak < 2.25 * (1 << 18) * 15 * 4
 
 
 class TestSerialization:
