@@ -108,6 +108,14 @@ class RealChannel:
     def noise_std_per_component(self) -> float:
         return float(np.sqrt(self.noise_variance / 2.0))
 
+    def noiseless(self, vectors: np.ndarray) -> np.ndarray:
+        """The noiseless outputs H x of each row x of the (T, 2U) array
+        ``vectors``, as a (T, 2N) array."""
+        if vectors.shape[1] != self.n_inputs:
+            raise ValueError(f"symbol vectors have {vectors.shape[1]} dimensions, "
+                             f"channel expects {self.n_inputs}")
+        return vectors @ self.entries.T
+
 
 def expand_real_channel(ch: ComplexChannel) -> np.ndarray:
     """Stack a complex channel into its real 2N x 2U block form

@@ -16,8 +16,15 @@ from .channel import RealChannel, quantize_sign, readonly_copy, reduce_by_fields
 # Hard cap on the number of enumerated symbol vectors.
 MAX_CODEBOOK_SIZE = 1 << 24
 
-# Constellation schemes that make_constellation builds.
-SCHEMES = ("bpsk", "qam4", "qam16")
+# Per-axis levels of each constellation scheme that make_constellation
+# builds, a square QAM of those levels on both axes; None is {-1, +1} on
+# the real axis alone.
+_LEVELS = {
+    "bpsk": None,
+    "qam4": np.array([-1.0, 1.0]) / np.sqrt(2.0),
+    "qam16": np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0),
+}
+SCHEMES = tuple(_LEVELS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +32,7 @@ class Constellation:
     """Unit-average-power constellation.
 
     ``complex_points`` are ordered ascending by real part, then imaginary
-    part; BPSK keeps its imaginary axis pinned to zero.
+    part; a scheme without levels keeps its imaginary parts at zero.
     """
 
     scheme: str
@@ -45,22 +52,16 @@ class Constellation:
 
 
 def make_constellation(scheme: str) -> Constellation:
-    """Build one of the supported unit-power constellations.
-
-    ``bpsk``: {-1, +1}. ``qam4``: square 4-QAM with per-axis levels
-    +/- 1/sqrt(2). ``qam16``: square 16-QAM with levels {-3,-1,1,3}/sqrt(10).
-    """
+    """Build one of the unit-power constellations of :data:`SCHEMES`
+    (any letter case) from its levels in ``_LEVELS``."""
     key = scheme.lower()
-    if key == "bpsk":
-        points = np.array([-1.0 + 0j, 1.0 + 0j])
-    elif key == "qam4":
-        levels = np.array([-1.0, 1.0]) / np.sqrt(2.0)
-        points = np.array([r + 1j * i for r in levels for i in levels])
-    elif key == "qam16":
-        levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-        points = np.array([r + 1j * i for r in levels for i in levels])
-    else:
+    if key not in _LEVELS:
         raise ValueError(f"unsupported constellation scheme: {scheme!r}")
+    levels = _LEVELS[key]
+    if levels is None:
+        points = np.array([-1.0 + 0j, 1.0 + 0j])
+    else:
+        points = np.array([r + 1j * i for r in levels for i in levels])
     return Constellation(key, points)
 
 
@@ -133,9 +134,4 @@ class Codebook:
 
 
 def build_codebook(ch: RealChannel, s: SymbolTable) -> Codebook:
-    if s.vectors.shape[1] != ch.n_inputs:
-        raise ValueError(
-            f"symbol vectors have {s.vectors.shape[1]} dimensions, channel expects {ch.n_inputs}"
-        )
-    noiseless = s.vectors @ ch.entries.T
-    return Codebook(quantize_sign(noiseless), s)
+    return Codebook(quantize_sign(ch.noiseless(s.vectors)), s)

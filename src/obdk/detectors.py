@@ -214,7 +214,7 @@ def _mismatch_affine(codebook: Codebook, ws: WeightSet):
 
 def loglik_affine(codebook: Codebook, ch: RealChannel):
     """Affine form of the exact log-likelihood, llk_k(y) = base + coef @ y."""
-    scaled = np.sqrt(2.0 / ch.noise_variance) * (codebook.symbols.vectors @ ch.entries.T)
+    scaled = np.sqrt(2.0 / ch.noise_variance) * ch.noiseless(codebook.symbols.vectors)
     match = log_q(-scaled)
     mismatch = log_q(scaled)
     base = 0.5 * (match + mismatch).sum(axis=1)

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -41,21 +41,9 @@ from .weights import compute_weights_approx, compute_weights_exact
 
 DETECTOR_NAMES = ("mld", "mwd-exact", "mwd", "mwd-hs", "osd")
 
-CSV_COLUMNS = (
-    "detector",
-    "snr_db",
-    "channels",
-    "trials",
-    "errors",
-    "rate",
-    "mean_list_len",
-    "distance_evals",
-    "seed",
-)
-
-# Largest per-block state an experiment may hold (1 GiB; see
-# _check_sphere). Larger systems fail in validation instead of being
-# killed for memory part way through.
+# Largest state that the blocks an experiment runs at once may hold
+# (1 GiB; see _check_sphere). Larger systems fail in validation instead
+# of being killed for memory part way through.
 STATE_BUDGET_BYTES = 1 << 30
 
 # What each step of a block keeps, and what it holds beyond that at its
@@ -150,6 +138,10 @@ class ExperimentRecord:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
+# The CSV columns: every field of a record but the optional rel_* ones.
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.default is MISSING)
+
+
 def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.users < 1 or cfg.antennas < 1:
         raise ConfigError("--users and --antennas must be >= 1")
@@ -171,8 +163,9 @@ def _check_common(cfg: ExperimentConfig) -> None:
 def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = False) -> None:
     """Reject missing sphere parameters, run the rules of :class:`SphereConfig`
     for each of ``list_sizes`` in order (empty: no table), then reject a
-    per-block state above :data:`STATE_BUDGET_BYTES` before anything is
-    enumerated.
+    state above :data:`STATE_BUDGET_BYTES` before anything is enumerated:
+    the charge of one block times the min(``cfg.workers``,
+    ``cfg.channels``) blocks that :func:`_channel_totals` runs at once.
 
     A block of ``detectors`` (full-search names, ``osd`` for the sphere
     decoder) is charged what its steps keep and the largest extra that
@@ -211,11 +204,14 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
         kept += lists * (longest + sum(lsz for lsz in list_sizes if lsz < longest))
         kept += 8 * groups * k_total * mass
         extra = max(extra, lists * longest + 8 * entries + 2 * 8 * groups * k_total)
-    need = kept + extra + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
+    blocks = min(cfg.workers, cfg.channels)
+    need = blocks * (kept + extra + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES)
     if need > STATE_BUDGET_BYTES:
+        what = "a block" if blocks == 1 else f"{blocks} blocks run at once"
         raise ConfigError(
-            f"a block of K = {k_total} codewords of length 2N = {two_n} needs {need} bytes "
-            f"of state, above the budget of {STATE_BUDGET_BYTES} bytes"
+            f"{what} of K = {k_total} codewords of length 2N = {two_n} "
+            f"{'needs' if blocks == 1 else 'need'} {need} bytes of state, "
+            f"above the budget of {STATE_BUDGET_BYTES} bytes"
         )
 
 
@@ -357,7 +353,7 @@ def _draw_trials(ch: RealChannel, codebook: Codebook, trials: int, rng: np.rando
     for rows in _row_blocks(trials, width):
         noise = rng.standard_normal((rows.stop - rows.start, ch.n_outputs))
         noise *= ch.noise_std_per_component
-        noise += codebook.symbols.vectors[ks[rows]] @ ch.entries.T
+        noise += ch.noiseless(codebook.symbols.vectors[ks[rows]])
         yield ks[rows], *_distinct_rows(quantize_sign(noise).astype(np.float64))
 
 

@@ -83,12 +83,6 @@ class WeightSet:
     __reduce__ = reduce_by_fields
 
 
-def _inner_products(ch: RealChannel, s: SymbolTable) -> np.ndarray:
-    if s.vectors.shape[1] != ch.n_inputs:
-        raise ValueError("symbol table does not match channel dimensions")
-    return s.vectors @ ch.entries.T
-
-
 def compute_weights_exact(ch: RealChannel, s: SymbolTable) -> WeightSet:
     """Exact negative-log tail weights.
 
@@ -96,7 +90,7 @@ def compute_weights_exact(ch: RealChannel, s: SymbolTable) -> WeightSet:
     has probability Q(s_ki) and a match 1 - Q(s_ki); the weights are the
     negative logs of those two probabilities.
     """
-    arg = np.sqrt(2.0 / ch.noise_variance) * np.abs(_inner_products(ch, s))
+    arg = np.sqrt(2.0 / ch.noise_variance) * np.abs(ch.noiseless(s.vectors))
     w = -log_q(arg)
     w_tilde = np.maximum(-log_q(-arg), _WEIGHT_FLOOR)
     return WeightSet(w, w_tilde)
@@ -109,7 +103,7 @@ def compute_weights_approx(ch: RealChannel, s: SymbolTable) -> WeightSet:
     w_tilde = -ln(1 - exp(-w)), evaluated with log1p to keep tiny match
     weights accurate.
     """
-    absp = np.abs(_inner_products(ch, s))
+    absp = np.abs(ch.noiseless(s.vectors))
     s2 = ch.noise_variance
     w = (2.0 * Q_HAT_A / s2) * absp * absp + (Q_HAT_B * np.sqrt(2.0 / s2)) * absp + np.log(2.0)
     w_tilde = np.maximum(-np.log1p(-np.exp(-w)), _WEIGHT_FLOOR)

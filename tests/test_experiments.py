@@ -167,6 +167,31 @@ class TestSerExperiment:
             _, mld_high = wilson_interval(by[("mld", snr)].errors, n)
             assert osd_low <= 1.2 * mld_high, f"{snr} dB"
 
+    @pytest.fixture(scope="class")
+    def forty_channel_errors(self):
+        # Each channel's trials continue one stream across the grid, so the
+        # 30 and 40 dB draws follow those at 10 and 20 dB.
+        cfg = ExperimentConfig(users=2, antennas=8, snr_db=(10.0, 20.0, 30.0, 40.0),
+                               detectors=("mld", "osd"), n_sub=4, list_size=2, trials=5000,
+                               channels=40, seed=11)
+        return cfg.trials * cfg.channels, {(r.detector, r.snr_db): r.errors
+                                           for r in run_ser_experiment(cfg)}
+
+    @pytest.mark.parametrize("snr_db", [
+        pytest.param(snr_db, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=(f"ROADMAP item 1, exact sphere ranking at high SNR: osd makes {osd} "
+                    f"errors against mld's {mld} at {snr_db:g} dB")))
+        for snr_db, osd, mld in ((30.0, 519, 131), (40.0, 1838, 14))
+    ])
+    def test_sphere_near_mld_over_forty_channels(self, forty_channel_errors, snr_db):
+        # At 10 and 20 dB osd errs 1.4 and 1.6 times as often as mld: the
+        # loss of a narrow list (ns = 4, L = 2), not a misranked table.
+        n, errors = forty_channel_errors
+        osd_low, _ = wilson_interval(errors["osd", snr_db], n)
+        _, mld_high = wilson_interval(errors["mld", snr_db], n)
+        assert osd_low <= 1.2 * mld_high
+
     def test_mid_scale_configuration_runs(self):
         # Larger antenna count and codebook than the default test shapes.
         cfg = ExperimentConfig(
@@ -460,6 +485,20 @@ class TestStateBudget:
             with pytest.raises(ConfigError, match="budget"):
                 check(checked)
         validate_ser_config(replace(cfg, trials=100_000_000))
+
+    def test_blocks_run_at_once_count_toward_budget(self, monkeypatch):
+        # Each of min(workers, channels) worker processes holds a block.
+        cfg = _small_cfg(channels=4)
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", 0)
+        with pytest.raises(ConfigError) as one:
+            validate_ser_config(cfg)
+        charge = int(re.search(r"a block of .* needs (\d+) bytes", str(one.value)).group(1))
+        monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", charge)
+        validate_ser_config(cfg)
+        with pytest.raises(ConfigError, match=f"^2 blocks run at once of K = 16 codewords "
+                                              f"of length 2N = 8 need {2 * charge} bytes"):
+            validate_ser_config(replace(cfg, workers=2))
+        validate_ser_config(replace(cfg, workers=8, channels=1))
 
 
 class TestBoundedMemory:
