@@ -115,24 +115,16 @@ def complexity_model(q: ComplexityQuery) -> tuple[int, int]:
     return pre, det
 
 
-def _symbol_class(vectors: np.ndarray, user: int, users: int) -> np.ndarray:
-    """4-QAM quadrant class per codeword: 2*[Re < 0] + [Im < 0]."""
-    re = vectors[:, user]
-    im = vectors[:, users + user]
-    return 2 * (re < 0).astype(np.int64) + (im < 0).astype(np.int64)
-
-
 def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     """Per-bit soft outputs for one user from the candidate list (4-QAM).
 
-    The list is split into the four quadrant classes of the user's
-    symbol; each bit's LLR is the minimum distance over its zero classes
-    minus the minimum over its one classes, so a positive value favors
-    bit one (positive real part for the odd bit, positive imaginary part
-    for the even bit). A class with no candidates contributes the
-    saturation value max(dist) + 2N * mean(w). ``y`` must be +/-1 of
-    length 2N, and ``candidates`` a non-empty 1-D integer array of indices
-    in [0, K).
+    Each bit's LLR is the minimum distance over the candidates whose
+    axis of the user's symbol is negative (the real part for the odd
+    bit, the imaginary part for the even bit) minus the minimum over the
+    rest, so a positive value favors bit one (a positive part). A side
+    with no candidates contributes the saturation value max(dist) + 2N *
+    mean(w). ``y`` must be +/-1 of length 2N, and ``candidates`` a
+    non-empty 1-D integer array of indices in [0, K).
     """
     table = codebook.symbols
     if table.constellation.scheme != "qam4":
@@ -153,14 +145,8 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     full = _prepared(ws, distance_affine, codebook)
     d = full.base[candidates] - full.coef[candidates] @ y
     saturation = float(d.max()) + codebook.n_outputs * float(ws.w.mean())
-
-    classes = _symbol_class(table.vectors, user, table.users)[candidates]
-    class_min = np.full(4, saturation)
-    for i in range(4):
-        sel = classes == i
-        if np.any(sel):
-            class_min[i] = d[sel].min()
-
-    llr_odd = min(class_min[2], class_min[3]) - min(class_min[0], class_min[1])
-    llr_even = min(class_min[1], class_min[3]) - min(class_min[0], class_min[2])
-    return float(llr_odd), float(llr_even)
+    llrs = []
+    for axis in (user, table.users + user):  # real part, then imaginary part
+        neg = table.vectors[candidates, axis] < 0
+        llrs.append(float(d[neg].min(initial=saturation) - d[~neg].min(initial=saturation)))
+    return tuple(llrs)

@@ -113,14 +113,22 @@ def enumerate_symbol_vectors(c: Constellation, u: int) -> SymbolTable:
 class Codebook:
     """Sign codewords c_k = sign(H x_k), aligned with their symbol table.
 
-    ``codewords`` is a read-only copy of the array passed in.
+    ``codewords`` is a read-only copy of the array passed in: a K x 2N
+    array of +/-1 entries, one row per symbol vector.
     """
 
     codewords: np.ndarray
     symbols: SymbolTable
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords", readonly_copy(self.codewords))
+        cw = readonly_copy(self.codewords)
+        object.__setattr__(self, "codewords", cw)
+        if cw.ndim != 2 or len(cw) != self.symbols.size:
+            raise ValueError(
+                f"codewords have shape {cw.shape}, expected ({self.symbols.size}, 2N)"
+            )
+        if cw.dtype.kind not in "biuf" or np.count_nonzero(np.abs(cw) != 1):  # |1j| is 1 too
+            raise ValueError("codeword entries must be real +1 or -1")
 
     __reduce__ = reduce_by_fields
 

@@ -102,9 +102,9 @@ class SphereTable:
     distance, ties by index) whose g-th sub-codeword is nearest to the
     p-th sub-vector pattern. Patterns are numbered by mapping element i
     of the +/-1 sub-vector to bit i via (1 - y_i) / 2, little-endian.
-    ``indices`` is a read-only copy of the array passed in, whose shape
-    and entries are checked, so a receiver kept for a table (see
-    :func:`_prepared`) cannot go stale.
+    ``indices`` is a read-only copy of the array passed in, whose shape,
+    integer dtype and entries are checked, so a receiver kept for a table
+    (see :func:`_prepared`) cannot go stale.
     """
 
     indices: np.ndarray
@@ -119,6 +119,8 @@ class SphereTable:
                 f"sphere-table indices have shape {shape}, expected (G, 2^n_sub, L) "
                 "with G >= 1, n_sub >= 1 and L >= 1"
             )
+        if not np.issubdtype(self.indices.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"sphere-table indices have dtype {self.indices.dtype}, not integer")
         if np.min(self.indices) < 0 or np.max(self.indices) >= self.codebook_size:
             raise ValueError("table entry out of codebook range")
         # The list of group g's sub-vector y_g is row y_g . weights +
@@ -188,9 +190,10 @@ def pattern_index(signs) -> int:
 
 
 def pattern_signs(p: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pattern_index`."""
-    bits = (p >> np.arange(n, dtype=np.int64)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    """Inverse of :func:`pattern_index`, for p in [0, 2^n)."""
+    if not 0 <= p < 1 << n:
+        raise ValueError(f"pattern {p} out of range [0, 2^{n})")
+    return _block_signs(slice(p, p + 1), n)[0].astype(np.int8)
 
 
 def distance_affine(codebook: Codebook, ws: WeightSet):
@@ -198,6 +201,7 @@ def distance_affine(codebook: Codebook, ws: WeightSet):
 
     Returns (base, coef) of shapes (K,) and (K, 2N).
     """
+    _check_weights(codebook, ws)
     diff = ws.w - ws.w_tilde
     base = ws.w_tilde.sum(axis=1) + 0.5 * diff.sum(axis=1)
     coef = np.multiply(diff, codebook.codewords, out=diff)  # c is +/-1 and scaling by 0.5 is exact
@@ -206,10 +210,20 @@ def distance_affine(codebook: Codebook, ws: WeightSet):
 
 
 def _mismatch_affine(codebook: Codebook, ws: WeightSet):
+    _check_weights(codebook, ws)
     base = 0.5 * ws.w.sum(axis=1)
     coef = np.multiply(ws.w, codebook.codewords)
     coef *= 0.5
     return base, coef
+
+
+def _check_weights(codebook: Codebook, ws: WeightSet) -> None:
+    """Reject a weight set made for another codebook shape, which numpy
+    would broadcast (one codeword against K weight rows) or refuse."""
+    if ws.w.shape != codebook.codewords.shape:
+        raise ValueError(
+            f"weight set has shape {ws.w.shape}, codebook codewords {codebook.codewords.shape}"
+        )
 
 
 def loglik_affine(codebook: Codebook, ch: RealChannel):
@@ -281,8 +295,13 @@ class Receiver:
             object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
             values = len(self.base)
         else:
-            _check_table(self.table, len(self.base), self.coef.shape[1])
-            values = self.table.group_count * self.table.list_size * self.coef.shape[1]
+            table = self.table  # it ranks one codebook: reject one made for another
+            if table.codebook_size != len(self.base) or table.n_outputs != self.coef.shape[1]:
+                raise ValueError(
+                    f"sphere table was built for {table.codebook_size} codewords of length "
+                    f"{table.n_outputs}, not {len(self.base)} of length {self.coef.shape[1]}"
+                )
+            values = table.group_count * table.list_size * self.coef.shape[1]
         object.__setattr__(self, "row_values", values)
 
     def _batch(self, obs) -> np.ndarray:
@@ -351,15 +370,6 @@ def _check_signs(obs: np.ndarray) -> None:
     the result is not a distance."""
     if np.count_nonzero(np.abs(obs) != 1):
         raise ValueError("observation entries must be +1 or -1")
-
-
-def _check_table(table: SphereTable, size: int, n_outputs: int) -> None:
-    """A table ranks one codebook: reject one made for another."""
-    if table.codebook_size != size or table.n_outputs != n_outputs:
-        raise ValueError(
-            f"sphere table was built for {table.codebook_size} codewords of length "
-            f"{table.n_outputs}, not {size} of length {n_outputs}"
-        )
 
 
 def _long_side(n_rows: int, width: int) -> str:

@@ -237,8 +237,6 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
     _check_common(cfg)
     if cfg.time_slots < 1:
         raise ConfigError("--td must be >= 1")
-    if cfg.n_sub is None:
-        raise ConfigError("--ns is required for the tradeoff sweep")
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
     _check_sphere(cfg, ("mld", "osd"), cfg.list_sizes)

@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from obdk import (
+    Codebook,
     RealChannel,
+    SymbolTable,
     build_codebook,
     enumerate_symbol_vectors,
     make_constellation,
@@ -116,3 +118,29 @@ class TestBuildCodebook:
         other = enumerate_symbol_vectors(make_constellation("qam4"), 3)
         with pytest.raises(ValueError):
             build_codebook(ch, other)
+
+
+class TestCodebookChecks:
+    """Before, Codebook kept any array, and detect_mwd answered an index
+    even for all-zero codewords."""
+
+    @pytest.mark.parametrize("entry", [0, 2, 0.5, np.nan, 1j])
+    def test_entries_other_than_signs_rejected(self, entry):
+        _, table, cb = example_system(0.5)
+        codewords = np.array(cb.codewords, dtype=np.result_type(np.float64, entry))
+        codewords[1, 2] = entry
+        with pytest.raises(ValueError, match=r"codeword entries must be real \+1 or -1"):
+            Codebook(codewords, table)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 1), (3, 4), (5, 4)],
+                             ids=["1-D", "3-D", "fewer-rows", "more-rows"])
+    def test_shape_other_than_one_row_per_symbol_rejected(self, shape):
+        _, table, _ = example_system(0.5)
+        with pytest.raises(ValueError, match=r"codewords have shape .*, expected \(4, 2N\)"):
+            Codebook(np.ones(shape, dtype=np.int8), table)
+
+    def test_symbol_table_of_other_size_rejected(self):
+        _, table, cb = example_system(0.5)
+        fewer = SymbolTable(table.vectors[:2], table.constellation, table.users)
+        with pytest.raises(ValueError, match=r"expected \(2, 2N\)"):
+            Codebook(cb.codewords, fewer)

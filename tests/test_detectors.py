@@ -101,6 +101,16 @@ class TestPatternConvention:
             for p in range(1 << n):
                 assert pattern_index(pattern_signs(p, n)) == p
 
+    def test_pattern_outside_range_rejected(self):
+        # Before, pattern_signs(5, 2) gave pattern 1's signs and
+        # pattern_signs(-1, 2) pattern 3's.
+        for p in (5, -1):
+            with pytest.raises(ValueError, match=r"pattern -?\d+ out of range \[0, 2\^2\)"):
+                pattern_signs(p, 2)
+        for n in (1, 8, MAX_SUBVECTOR_DIM):
+            for p in (0, (1 << n) - 1):
+                assert pattern_index(pattern_signs(p, n)) == p
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n_sub=st.integers(1, MAX_SUBVECTOR_DIM), g_count=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2**32 - 1))
@@ -218,6 +228,41 @@ class TestDetectMwdHighSnr:
         y = np.array([1, -1, 1, 1], dtype=np.int8)
         hamming = np.sum(cb.codewords != y[None, :], axis=1)
         assert detect_mwd_high_snr(y, cb, ws).index == int(np.argmin(hamming))
+
+
+class TestWeightSetMatchesCodebook:
+    """A weight set scores codebooks of its own shape. Before, numpy
+    broadcast a one-codeword codebook over the K weight rows (detect_mwd
+    searched a list of 16 in a codebook of one) and refused another 2N
+    with its own broadcast message."""
+
+    CALLS = {
+        "mwd": lambda cb, ws, table: detect_mwd(np.ones(cb.n_outputs), cb, ws),
+        "mwd-hs": lambda cb, ws, table: detect_mwd_high_snr(np.ones(cb.n_outputs), cb, ws),
+        "osd": lambda cb, ws, table: detect_osd(np.ones(cb.n_outputs), table, cb, ws),
+        "table": lambda cb, ws, table: build_sphere_table(cb, ws, SphereConfig(2, 2)),
+        "llrs": lambda cb, ws, table: compute_llrs(np.ones(cb.n_outputs), np.arange(cb.size),
+                                                   cb, ws, 0),
+    }
+
+    # No list size lies in [1, K) for K = 1, so a table build refuses the
+    # one-codeword codebook already.
+    @pytest.mark.parametrize("call, mismatch", [
+        (call, mismatch) for call in CALLS for mismatch in ("one-codeword", "other-2n")
+        if (call, mismatch) != ("table", "one-codeword")
+    ])
+    def test_mismatched_codebook_rejected(self, call, mismatch):
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=5)
+        ws = compute_weights_approx(ch, table)
+        sphere = build_sphere_table(cb, ws, SphereConfig(2, 2))
+        if mismatch == "one-codeword":
+            other = Codebook(cb.codewords[:1],
+                             SymbolTable(table.vectors[:1], table.constellation, table.users))
+        else:
+            other = random_system(2, 3, "qam4", 0.3, seed=5)[2]
+        with pytest.raises(ValueError, match=rf"weight set has shape \(16, 8\), codebook "
+                                             rf"codewords \({other.size}, {other.n_outputs}\)"):
+            self.CALLS[call](other, ws, sphere)
 
 
 class TestBuildSphereTable:
@@ -776,6 +821,16 @@ class TestSphereTableShape:
         indices[0, 3, 1] = entry
         with pytest.raises(ValueError, match="table entry out of codebook range"):
             SphereTable(indices, 16)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_], ids=["float", "bool"])
+    def test_non_integer_entries_rejected(self, dtype):
+        # Before, a float table of 1.5 was kept as float64, and
+        # assemble_list answered the truncated [1].
+        with pytest.raises(ValueError, match="sphere-table indices have dtype .*, not integer"):
+            SphereTable(np.full((2, 16, 1), 1.5).astype(dtype), 16)
+        for integer in (np.uint32, np.int64):
+            table = SphereTable(np.ones((2, 16, 1), dtype=integer), 16)
+            assert_array_equal(assemble_list(np.ones(8), table), [1])
 
     def test_indices_are_a_private_read_only_copy(self):
         # Before, the table held the caller's array: writing 99 into it

@@ -417,6 +417,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_tradeoff_config(_small_cfg(list_sizes=()))
 
+    def test_tradeoff_states_the_sphere_ns_rule(self):
+        # The one --ns rule of every sphere command; before, tradeoff had its own.
+        with pytest.raises(ConfigError, match="--ns is required when the sphere decoder"):
+            validate_tradeoff_config(_small_cfg(n_sub=None, list_sizes=(2,)))
+
     def test_bad_trial_counts(self):
         with pytest.raises(ConfigError):
             validate_ser_config(_small_cfg(trials=0))
