@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .detectors import (ConfigError, SphereConfig, SphereTable, _check_signs, _prepared, _rank,
+from .detectors import (ConfigError, SphereConfig, SphereTable, _observation, _prepared, _rank,
                         distance_affine)
 from .weights import WeightSet
 
@@ -39,20 +39,9 @@ class SepBoundInputs:
     @classmethod
     def build(cls, codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> "SepBoundInputs":
         """Rank the table and add up the unlisted mass in one sweep of the
-        sub-codeword scores: once a block is ranked its listed cells hold
-        +inf, so exp(-d) of the block is already its unlisted mass.
-
-        Each group's mass is summed pattern by pattern in ascending order,
-        a block carrying on the sum of the group's earlier blocks, so its
-        bits do not depend on how the scores are blocked."""
+        sub-codeword scores (see ``detectors._rank``)."""
         unlisted = np.zeros((cfg.group_count(codebook.n_outputs, codebook.size), codebook.size))
-
-        def add_mass(groups, d):
-            mass = np.exp(np.negative(d, out=d), out=d)
-            mass[:, 0] += unlisted[groups]  # numpy adds the rows of a middle axis in order
-            unlisted[groups] = mass.sum(axis=1)
-
-        return cls(_rank(codebook, ws, cfg, add_mass), unlisted)
+        return cls(_rank(codebook, ws, cfg, unlisted), unlisted)
 
 
 def sep_bound(inputs: SepBoundInputs) -> float:
@@ -137,10 +126,7 @@ def compute_llrs(y, candidates, codebook: Codebook, ws: WeightSet, user: int):
     if (candidates.ndim != 1 or not np.issubdtype(candidates.dtype, np.integer)
             or candidates.min() < 0 or candidates.max() >= codebook.size):
         raise ValueError(f"candidates must be a 1-D integer array in [0, {codebook.size})")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (codebook.n_outputs,):
-        raise ValueError(f"observation has shape {y.shape}, expected ({codebook.n_outputs},)")
-    _check_signs(y)
+    y = np.asarray(_observation(y, codebook.n_outputs), dtype=np.float64)
 
     full = _prepared(ws, distance_affine, codebook)
     d = full.base[candidates] - full.coef[candidates] @ y

@@ -8,6 +8,7 @@ imaginary parts of each receive antenna. Quantized observations are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,12 +43,24 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams are independent Philox keys, so workers can own disjoint
     streams (e.g. one per channel realization) and results do not depend
-    on how work is distributed. ``seed`` must lie in [0, 2^64): the key
-    is built as uint64 words, so every such seed keys its own streams.
+    on how work is distributed. ``seed`` must be an integer in [0, 2^64)
+    (see :func:`_seed_index`).
     """
+    key = np.array([_seed_index(seed), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _seed_index(seed) -> int:
+    """``seed`` as an int, or ValueError unless it is an integer in
+    [0, 2^64): the key is built as uint64 words, so every such seed keys
+    its own streams, where 1.5 or -1 would key those of another seed."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +158,14 @@ def quantize_sign(v) -> np.ndarray:
     out *= 2
     out -= 1
     return out
+
+
+def _check_signs(a: np.ndarray, what: str) -> None:
+    """Reject ``a`` unless every entry is a real +1 or -1: the affine
+    forms score a 0/1 bit form, a scaled copy or the real part of a
+    complex one without complaint, but the result is not a distance."""
+    if a.dtype.kind not in "biuf" or np.count_nonzero(np.abs(a) != 1):  # |1j| is 1 too
+        raise ValueError(f"{what} entries must be real +1 or -1")
 
 
 def transmit_and_quantize(ch: RealChannel, x, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RealChannel, quantize_sign, readonly_copy, reduce_by_fields
+from .channel import RealChannel, _check_signs, quantize_sign, readonly_copy, reduce_by_fields
 
 # Hard cap on the number of enumerated symbol vectors.
 MAX_CODEBOOK_SIZE = 1 << 24
@@ -127,8 +127,7 @@ class Codebook:
             raise ValueError(
                 f"codewords have shape {cw.shape}, expected ({self.symbols.size}, 2N)"
             )
-        if cw.dtype.kind not in "biuf" or np.count_nonzero(np.abs(cw) != 1):  # |1j| is 1 too
-            raise ValueError("codeword entries must be real +1 or -1")
+        _check_signs(cw, "codeword")
 
     __reduce__ = reduce_by_fields
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import RealChannel, readonly_copy, reduce_by_fields
+from .channel import RealChannel, _check_signs, readonly_copy, reduce_by_fields
 from .codebook import Codebook
 from .weights import WeightSet, log_q
 
@@ -184,7 +184,7 @@ def weighted_hamming(y, c, w, w_tilde) -> float:
 def pattern_index(signs) -> int:
     """Pattern number of a +/-1 vector: bit i = (1 - y_i) / 2, little-endian."""
     signs = np.asarray(signs)
-    _check_signs(signs)
+    _check_signs(signs, "observation")
     bits = (1 - signs.astype(np.int64)) // 2
     return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
 
@@ -310,7 +310,7 @@ class Receiver:
             raise ValueError(
                 f"observations have shape {obs.shape}, expected (T, {self.coef.shape[1]})"
             )
-        _check_signs(obs)
+        _check_signs(obs, "observation")
         return obs
 
     def candidates(self, obs) -> np.ndarray:
@@ -362,14 +362,6 @@ class Receiver:
             return best, scores[rows, best], np.full(len(obs), len(self.base))
         lens = (cand[:, 1:] != cand[:, :-1]).sum(axis=1, dtype=np.intp) + 1
         return cand[rows, best], scores[rows, best], lens
-
-
-def _check_signs(obs: np.ndarray) -> None:
-    """Reject observations with an entry other than +/-1: the affine
-    forms score a 0/1 bit form or a scaled copy without complaint, but
-    the result is not a distance."""
-    if np.count_nonzero(np.abs(obs) != 1):
-        raise ValueError("observation entries must be +1 or -1")
 
 
 def _long_side(n_rows: int, width: int) -> str:
@@ -500,18 +492,23 @@ def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:
     return picks
 
 
-def _rank(codebook: Codebook, ws: WeightSet, cfg: SphereConfig, visit=None) -> SphereTable:
+def _rank(codebook: Codebook, ws: WeightSet, cfg: SphereConfig, unlisted=None) -> SphereTable:
     """The sphere table of :func:`build_sphere_table`, ranked block by
-    block of :func:`_sub_scores`. After a block's lists are written,
-    ``visit(group slice, scores)``, when given, receives its scores with
-    every listed cell set to +inf, and may overwrite them."""
+    block of :func:`_sub_scores`. Given the (G, K) array ``unlisted``, the
+    same sweep adds the unlisted mass of ``SepBoundInputs`` to it: once a
+    block is ranked its listed cells hold +inf, so exp(-d) of the block is
+    already its unlisted mass. Each group's mass is summed pattern by
+    pattern in ascending order, a block carrying on the sum of the group's
+    earlier blocks, so its bits do not depend on how the scores are blocked."""
     table = np.empty((cfg.group_count(codebook.n_outputs, codebook.size), 1 << cfg.n_sub,
                       cfg.list_size), dtype=np.uint32)
     for groups, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
         picks = _nearest(d.reshape(-1, codebook.size), cfg.list_size)
         table[groups, rows] = picks.reshape(*d.shape[:2], cfg.list_size)
-        if visit is not None:
-            visit(groups, d)
+        if unlisted is not None:
+            np.exp(np.negative(d, out=d), out=d)
+            d[:, 0] += unlisted[groups]  # numpy adds the rows of a middle axis in order
+            unlisted[groups] = d.sum(axis=1)
     del d, picks  # the last block goes before the table is copied
     return SphereTable(table, codebook.size)
 
@@ -540,11 +537,16 @@ def assemble_list(y, table: SphereTable) -> np.ndarray:
 
     Returned sorted ascending; its length lies in [L, G*L].
     """
+    return np.unique(_candidates(table, _observation(y, table.n_outputs)[None])[0])
+
+
+def _observation(y, n_outputs: int) -> np.ndarray:
+    """``y`` as an array, checked to be one +/-1 observation of length ``n_outputs``."""
     y = np.asarray(y)
-    if y.shape != (table.n_outputs,):
-        raise ValueError(f"observation has shape {y.shape}, expected ({table.n_outputs},)")
-    _check_signs(y)
-    return np.unique(_candidates(table, y[None, :])[0])
+    if y.shape != (n_outputs,):
+        raise ValueError(f"observation has shape {y.shape}, expected ({n_outputs},)")
+    _check_signs(y, "observation")
+    return y
 
 
 def detect_osd(y, table: SphereTable, codebook: Codebook, ws: WeightSet) -> DetectionResult:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .analysis import ComplexityQuery, SepBoundInputs, complexity_model, sep_bound
-from .channel import RealChannel, quantize_sign, sample_rayleigh_channel, stream_rng
+from .channel import RealChannel, _seed_index, quantize_sign, sample_rayleigh_channel, stream_rng
 from .codebook import (SCHEMES, Codebook, build_codebook, enumerate_symbol_vectors,
                        make_constellation)
 from .detectors import (
@@ -156,8 +156,18 @@ def _check_common(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"--snr-db values must be finite, got {snr}")
     if cfg.modulation not in SCHEMES:
         raise ConfigError(f"unsupported --mod value: {cfg.modulation!r}")
-    if not 0 <= cfg.seed < 1 << 64:
-        raise ConfigError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
+    try:
+        _seed_index(cfg.seed)
+    except ValueError as exc:  # its message names "seed", the flag without its dashes
+        raise ConfigError(f"--{exc}") from None
+
+
+def _check_distinct(flag: str, values) -> None:
+    """Reject a value listed twice: it would write a second, identical
+    row for each SNR, where the schema has one per (detector, SNR)."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{flag} lists {repeated[0]} more than once")
 
 
 def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = False) -> None:
@@ -222,6 +232,7 @@ def validate_ser_config(cfg: ExperimentConfig) -> None:
     unknown = [d for d in cfg.detectors if d not in DETECTOR_NAMES]
     if unknown:
         raise ConfigError(f"unknown detector(s): {', '.join(unknown)}")
+    _check_distinct("--detectors", cfg.detectors)
     sphere = "osd" in cfg.detectors
     if not sphere and (cfg.n_sub is not None or cfg.list_size is not None):
         raise ConfigError("--ns/--list-size are only valid when 'osd' is selected")
@@ -239,6 +250,7 @@ def validate_tradeoff_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--td must be >= 1")
     if not cfg.list_sizes:
         raise ConfigError("--list-sizes must list at least one value")
+    _check_distinct("--list-sizes", cfg.list_sizes)
     _check_sphere(cfg, ("mld", "osd"), cfg.list_sizes)
 
 

@@ -170,6 +170,16 @@ class TestStreamRng:
         assert not np.array_equal(stream_rng(2**64 - 1).standard_normal(4),
                                   stream_rng(0).standard_normal(4))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1"],
+                             ids=["half", "float-one", "numpy-float-one", "string"])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # Before, 1.5 drew exactly what seed 1 draws.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            stream_rng(seed)
+        for numpy_seed in (np.int64(1), np.uint64(1)):  # numpy integers stay accepted
+            assert np.array_equal(stream_rng(numpy_seed).standard_normal(4),
+                                  stream_rng(1).standard_normal(4))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):

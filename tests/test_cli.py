@@ -217,6 +217,20 @@ def test_seed_outside_64_bits_is_a_usage_error(capsys, argv, seed):
         2, "", f"error: --seed must lie in [0, 2^64), got {seed}\n")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["ser", "-U", "1", "-N", "2"], "--detectors", "mwd"),
+    (["tradeoff", "-U", "1", "-N", "2", "--ns", "2"], "--list-sizes", "2"),
+])
+def test_repeated_detector_or_list_size_is_a_usage_error(capsys, argv, flag, value):
+    few = ["--trials", "50", "--channels", "2"]
+    # Before, the repeat wrote a second, identical row and exited 0.
+    assert _run(capsys, argv + [flag, f"{value},{value}", "--snr-db", "5", *few]) == (
+        2, "", f"error: {flag} lists {value} more than once\n")
+    # A repeated SNR point stays allowed: it draws fresh trials.
+    code, out, err = _run(capsys, argv + [flag, value, "--snr-db", "5,5", *few])
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("dims", [["-U", "2", "-N", "0"], ["-U", "0", "-N", "4"]])
 @pytest.mark.parametrize("command", [
     ["table-build", "--out", os.devnull],

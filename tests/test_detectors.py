@@ -1128,8 +1128,8 @@ class TestRowBlocks:
 
 class TestObservationSigns:
     """Every entry point refuses an observation with an entry other than
-    +/-1; the affine forms would score its 0/1 bit form or a scaled copy
-    as if it were a distance."""
+    a real +/-1; the affine forms would score its 0/1 bit form, a scaled
+    copy or the real part of a complex one as if it were a distance."""
 
     @staticmethod
     def _entry_points():
@@ -1154,18 +1154,20 @@ class TestObservationSigns:
         "detect_mld", "detect_mwd", "detect_mwd_high_snr", "detect_osd", "assemble_list",
         "Receiver.detect", "sphere Receiver.detect", "Receiver.candidates", "compute_llrs",
     ])
-    @pytest.mark.parametrize("form", ["bits", "tripled"])
+    @pytest.mark.parametrize("form", ["bits", "tripled", "complex"])
     def test_rejected_on_every_entry_point(self, entry, form):
         call = self._entry_points()[entry]
         y = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int8)
-        bad = (1 - y) // 2 if form == "bits" else 3 * y
+        bad = {"bits": (1 - y) // 2, "tripled": 3 * y, "complex": 1j * y}[form]
         call(y)  # the +/-1 form is accepted
-        for dtype in (np.int8, np.float64):
+        # |1j| is 1 too: before, the complex form was scored by its real part.
+        dtypes = (np.complex128, np.complex64) if form == "complex" else (np.int8, np.float64)
+        for dtype in dtypes:
             with pytest.raises(ValueError, match=r"\+1 or -1"):
                 call(bad.astype(dtype))
 
-    @pytest.mark.parametrize("bad", [[0, 1, 1, 0], [1, -1, 0.5, 1], [1, -1, 1.5, 1]],
-                             ids=["bits", "half", "one-and-a-half"])
+    @pytest.mark.parametrize("bad", [[0, 1, 1, 0], [1, -1, 0.5, 1], [1, -1, 1.5, 1], [1j, -1j]],
+                             ids=["bits", "half", "one-and-a-half", "complex"])
     def test_pattern_index_rejects_other_entries(self, bad):
         # Before, the bit form [0, 1, 1, 0] read as all +1, pattern 0.
         with pytest.raises(ValueError, match=r"\+1 or -1"):

@@ -38,6 +38,7 @@ from obdk.experiments import (
     DETECTOR_NAMES,
     MAX_KEYED_OUTPUTS,
     _channel_setup,
+    _check_common,
     _distinct_rows,
     _draw_trials,
     _receivers,
@@ -421,6 +422,29 @@ class TestValidation:
         # The one --ns rule of every sphere command; before, tradeoff had its own.
         with pytest.raises(ConfigError, match="--ns is required when the sphere decoder"):
             validate_tradeoff_config(_small_cfg(n_sub=None, list_sizes=(2,)))
+
+    @pytest.mark.parametrize("validate, change, message", [
+        (validate_ser_config, dict(detectors=("mwd", "osd", "mwd")),
+         "--detectors lists mwd more than once"),
+        (validate_tradeoff_config, dict(list_sizes=(2, 4, 2)),
+         "--list-sizes lists 2 more than once"),
+    ])
+    @pytest.mark.parametrize("trials", [300, 2_000_000_000], ids=["in-budget", "over-budget"])
+    def test_repeated_detector_or_list_size(self, validate, change, message, trials):
+        # Before, each repeat wrote a second, identical row. The repeat is
+        # named before the memory budget is charged.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate(_small_cfg(**change, trials=trials))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1"],
+                             ids=["half", "float-one", "numpy-float-one", "string"])
+    def test_seed_must_be_an_integer(self, seed):
+        # Before, seed 1.5 ran seed 1's streams and wrote 1.5 in its rows.
+        with pytest.raises(ConfigError, match="--seed must be an integer"):
+            _check_common(_small_cfg(seed=seed))
+        with pytest.raises(ConfigError, match="--seed must be an integer"):
+            run_ser_experiment(_small_cfg(seed=seed))
+        _check_common(_small_cfg(seed=np.uint64(2**64 - 1)))  # numpy integers stay accepted
 
     def test_bad_trial_counts(self):
         with pytest.raises(ConfigError):

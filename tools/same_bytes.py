@@ -52,6 +52,8 @@ ARGVS = [
      "--channels", "2", "--seed", "9", "--out", OUT],
     ["tradeoff", *K16, "--ns", "8", "--list-sizes", "2,4,8", "--snr-db", "0,10,30",
      "--trials", "300", "--channels", "3", "--seed", "10", "--format", "json"],
+    ["tradeoff", *K4096, "--ns", "8", "--list-sizes", "16,4", "--snr-db", "5",
+     "--trials", "200", "--channels", "2", "--seed", "17", "--td", "64", "--out", OUT],
     ["table-build", *K16, "--ns", "8", "--list-size", "4", "--snr-db", "5", "--seed", "11",
      "--out", OUT],
     ["table-build", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "30", "--seed", "12",
@@ -65,6 +67,9 @@ ARGVS = [
      "--y", ",".join(["1", "-1", "-1", "1"] * 4)],
     ["llr", "-U", "6", "-N", "16", "--ns", "8", "--list-size", "4", "--snr-db", "10",
      "--seed", "14", "--y", ",".join(["-1", "1", "1"] * 10 + ["1", "-1"]), "--format", "json"],
+    ["complexity", "--detector", "mld", "-U", "3", "-N", "32", "-K", "4096", "--td", "4096"],
+    ["complexity", "--detector", "osd", "-U", "3", "-N", "32", "-K", "4096", "--td", "4096",
+     "--ns", "8", "--list-size", "4"],
     # A usage error: exit code and message.
     ["sep", *K16, "--ns", "3", "--list-size", "2"],
 ]
