@@ -13,8 +13,8 @@ the observation, the indices of the L nearest sub-codewords; at
 detection time the candidate list is the union of the looked-up
 sub-lists and the weighted-distance rule runs only on that list.
 
-All distances are affine in the +/-1 observation: d_k(y) = base_k -
-coef_k . y. Every detector is therefore one :class:`Receiver`, the
+Whole-codeword distances are affine in the +/-1 observation, d_k(y) =
+base_k - coef_k . y, so every detector is one :class:`Receiver`: the
 affine form (plus the table for the sphere decoder) prepared once per
 coherence block; ties always resolve to the smallest codeword index.
 A weight set (or channel) keeps the receivers prepared from it, one per
@@ -193,7 +193,7 @@ def pattern_signs(p: int, n: int) -> np.ndarray:
     """Inverse of :func:`pattern_index`, for p in [0, 2^n)."""
     if not 0 <= p < 1 << n:
         raise ValueError(f"pattern {p} out of range [0, 2^{n})")
-    return _block_signs(slice(p, p + 1), n)[0].astype(np.int8)
+    return (1 - 2 * ((p >> np.arange(n)) & 1)).astype(np.int8)
 
 
 def distance_affine(codebook: Codebook, ws: WeightSet):
@@ -437,10 +437,10 @@ def detect_mwd_high_snr(y, codebook: Codebook, ws: WeightSet) -> DetectionResult
     return _detect_one(_prepared(ws, _mismatch_affine, codebook), y)
 
 
-def _block_signs(rows: slice, n_sub: int) -> np.ndarray:
-    """(patterns, n_sub) float64 :func:`pattern_signs` of the patterns in
-    ``rows``; their int64 bits are freed before the caller's product."""
-    return 1.0 - 2.0 * ((np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1)
+def _block_bits(rows: slice, n_sub: int) -> np.ndarray:
+    """Float64 [bits, 1 - bits] of the patterns in ``rows``; frees its int64 bits on return."""
+    bits = (np.arange(rows.start, rows.stop)[:, None] >> np.arange(n_sub)) & 1
+    return np.concatenate((bits, 1 - bits), axis=1, dtype=np.float64)
 
 
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
@@ -450,30 +450,29 @@ def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     scores) in ascending order, at most :data:`BLOCK_VALUES` scores
     each: as many whole groups as fit, or one group in the pattern row
     blocks of :func:`_row_blocks` when a group alone does not fit. Row p
-    of a group's scores belongs to the signs :func:`pattern_signs` (p,
-    n_sub). The groups of a block come from one broadcast product of the
-    pattern signs with each group's coefficients, a strided (n_sub, K)
-    view of the ``coef`` that ``ws`` keeps (see :func:`_prepared`) that
-    BLAS takes as it is, so a group's scores have the same bits however
-    many groups share its block. Each block is a fresh C-ordered array
-    that the caller may overwrite.
+    of a group's scores belongs to :func:`pattern_signs` (p, n_sub). A
+    score sums non-negative costs, [bits, 1 - bits] @ [A; B] for bits
+    (1 - y) / 2, A (B) the costs of y_i = -1 (+1): w_tilde on a sign
+    match, w on a mismatch. Its block's costs go to BLAS as a (groups,
+    2 n_sub, K) view, so a group's scores have the same bits however
+    many groups share its block. Blocks are fresh C-ordered arrays.
     """
-    coef = _prepared(ws, distance_affine, codebook).coef
-    shape = (codebook.size, coef.shape[1] // n_sub, n_sub)
-    bases = 0.5 * (ws.w - ws.w_tilde).reshape(shape).sum(axis=-1)
-    bases = ws.w_tilde.reshape(shape).sum(axis=-1) + bases  # distance_affine's base per group
-    bases = np.ascontiguousarray(bases.T)  # (G, K): a strided row would slow the subtraction
-    k_total, g_count = codebook.size, len(bases)
-    coef = coef.reshape(shape).transpose(1, 2, 0)  # (G, n_sub, K)
-    patterns = 1 << n_sub
-    width = max(k_total, n_sub)  # a pattern's scores, or its signs when those are longer
-    step = max(1, BLOCK_VALUES // (patterns * width))
-    pattern_blocks = list(_row_blocks(patterns, width))  # one block when step > 1
+    _prepared(ws, distance_affine, codebook)  # the form the table's sphere receivers search
+    k_total, g_count = codebook.size, codebook.n_outputs // n_sub
+    width = max(k_total, 2 * n_sub)  # a pattern's scores, or its bits when those are longer
+    step = max(1, BLOCK_VALUES // ((1 << n_sub) * width))
+    pattern_blocks = list(_row_blocks(1 << n_sub, width))  # one block when step > 1
+    w, w_tilde, c = (a.reshape(k_total, -1, n_sub) for a in (ws.w, ws.w_tilde, codebook.codewords))
     for start in range(0, g_count, step):
         groups = slice(start, min(start + step, g_count))
+        # (K, groups, [A; B], n_sub): right where c = +1, then swapped where c = -1
+        cost = np.stack((w[:, groups], w_tilde[:, groups]), axis=2)
+        np.copyto(cost[:, :, 0], w_tilde[:, groups], where=c[:, groups] < 0)
+        np.copyto(cost[:, :, 1], w[:, groups], where=c[:, groups] < 0)
+        cost = cost.reshape(k_total, -1, 2 * n_sub).transpose(1, 2, 0)  # (groups, 2 n_sub, K)
         for rows in pattern_blocks:
-            scores = np.matmul(_block_signs(rows, n_sub), coef[groups])
-            yield groups, rows, np.subtract(bases[groups, None], scores, out=scores)
+            yield groups, rows, np.matmul(_block_bits(rows, n_sub), cost)
+        del cost  # before the next block's
 
 
 def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:
@@ -493,13 +492,14 @@ def _nearest(scores: np.ndarray, list_size: int) -> np.ndarray:
 
 
 def _rank(codebook: Codebook, ws: WeightSet, cfg: SphereConfig, unlisted=None) -> SphereTable:
-    """The sphere table of :func:`build_sphere_table`, ranked block by
-    block of :func:`_sub_scores`. Given the (G, K) array ``unlisted``, the
-    same sweep adds the unlisted mass of ``SepBoundInputs`` to it: once a
-    block is ranked its listed cells hold +inf, so exp(-d) of the block is
-    already its unlisted mass. Each group's mass is summed pattern by
-    pattern in ascending order, a block carrying on the sum of the group's
-    earlier blocks, so its bits do not depend on how the scores are blocked."""
+    """The sphere table of :func:`build_sphere_table`, ranked by the
+    non-negative sums of :func:`_sub_scores` block by block. Given the (G, K)
+    array ``unlisted``, the same sweep adds the unlisted mass of
+    ``SepBoundInputs`` to it: once a block is ranked its listed cells hold
+    +inf, so exp(-d) of the block is already its unlisted mass. Each group's
+    mass is summed pattern by pattern in ascending order, a block carrying
+    on the sum of the group's earlier blocks, so its bits do not depend on
+    the blocking."""
     table = np.empty((cfg.group_count(codebook.n_outputs, codebook.size), 1 << cfg.n_sub,
                       cfg.list_size), dtype=np.uint32)
     for groups, rows, d in _sub_scores(codebook, ws, cfg.n_sub):
@@ -524,10 +524,9 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     Costs L passes over the K scores of each of the G * 2^n_sub patterns,
     O(G 2^n_sub L K), against O(G 2^n_sub K log K) for a full sort: the
     paper's regime is L << K. At K = 4096 the passes beat a stable sort
-    up to L of about 200. The passes run on the blocks of
-    :func:`_sub_scores`, several small groups at a time. At the end the
-    table is held twice, the filled array and the :class:`SphereTable`'s
-    private copy of it.
+    up to L of about 200. They run on the blocks of :func:`_sub_scores`,
+    several small groups at a time. At the end the table is held twice:
+    the filled array and the :class:`SphereTable`'s private copy.
     """
     return _rank(codebook, ws, cfg)
 

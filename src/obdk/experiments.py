@@ -187,10 +187,10 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     the (G, K) float64 unlisted mass of the bound. Peak extras: three
     times the symbol vectors while they are enumerated, the steps' own,
     and for a table build a second copy of the table (the filled array
-    beside the table's private copy), one K x 2N float64 term and two
-    (G, K) arrays of group bases. On top come the 8-byte trial indices,
-    all drawn at once, and three temporaries of BLOCK_VALUES float64
-    values for the work done in row blocks."""
+    beside the table's private copy) and the float64 costs A and B plus
+    a sign mask of its sweep's block of groups, 17 bytes per codeword
+    and position. On top come the 8-byte trial indices, all drawn at
+    once, and three BLOCK_VALUES float64 temporaries for row blocks."""
     two_n = 2 * cfg.antennas
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     entries, vectors = k_total * two_n, k_total * 2 * cfg.users * 8
@@ -213,7 +213,8 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
         lists, longest = groups * (1 << cfg.n_sub) * 4, max(list_sizes)
         kept += lists * (longest + sum(lsz for lsz in list_sizes if lsz < longest))
         kept += 8 * groups * k_total * mass
-        extra = max(extra, lists * longest + 8 * entries + 2 * 8 * groups * k_total)
+        step = BLOCK_VALUES // ((1 << cfg.n_sub) * max(k_total, 2 * cfg.n_sub))  # groups a block
+        extra = max(extra, lists * longest + 17 * k_total * cfg.n_sub * min(max(step, 1), groups))
     blocks = min(cfg.workers, cfg.channels)
     need = blocks * (kept + extra + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES)
     if need > STATE_BUDGET_BYTES:

@@ -20,9 +20,11 @@ from obdk import (
     compute_weights_exact,
     sep_bound,
     snr_db_to_sigma_sq,
+    stream_rng,
     weighted_hamming,
 )
 from obdk.detectors import distance_affine
+from obdk.experiments import _draw_trials
 from conftest import random_system
 
 
@@ -130,15 +132,18 @@ def _case_system(case):
 
 def _two_pass_bound(cb, ws, table):
     """The bound from a second sweep over a built table: each group's
-    sub-scores again, exp(-d) of every cell, the listed cells zeroed."""
+    sub-scores again, as [bits, 1 - bits] @ [A; B] (A the cost of each
+    position when the observed sign is -1, B when it is +1), exp(-d) of
+    every cell, the listed cells zeroed."""
     n_sub = table.n_sub
-    signs = 1.0 - 2.0 * ((np.arange(1 << n_sub)[:, None] >> np.arange(n_sub)) & 1)
+    bits = (np.arange(1 << n_sub)[:, None] >> np.arange(n_sub)) & 1
+    bits = np.hstack((bits, 1 - bits)).astype(np.float64)
     unlisted = np.zeros((table.group_count, cb.size))
     for g in range(table.group_count):
         cols = slice(g * n_sub, (g + 1) * n_sub)
-        w, wt = ws.w[:, cols], ws.w_tilde[:, cols]
-        base = wt.sum(axis=1) + 0.5 * (w - wt).sum(axis=1)
-        mass = np.exp(-(base - signs @ (0.5 * ((w - wt) * cb.codewords[:, cols])).T))
+        w, wt, negative = ws.w[:, cols], ws.w_tilde[:, cols], cb.codewords[:, cols] < 0
+        cost = np.hstack((np.where(negative, wt, w), np.where(negative, w, wt)))
+        mass = np.exp(-(bits @ cost.T))
         np.put_along_axis(mass, table.indices[g], 0.0, axis=1)
         unlisted[g] = mass.sum(axis=0)
     return float(unlisted.prod(axis=0).mean())
@@ -250,17 +255,8 @@ def _exact_table_and_bound(cb, ws, n_sub, list_size):
     return table, float(bound)
 
 
-# (n_sub, L, SNR dB, seed) of the K = 16 oracle cases whose float64 table
-# misranks: cancellation in base - coef . y loses the match weights that
-# tell sub-codewords apart.
-MISRANKED = {(1, 3, 10, 7), (1, 3, 20, 3), (1, 3, 20, 7), (1, 3, 30, 3), (1, 3, 30, 7),
-             (1, 3, 40, 3), (1, 3, 40, 7), (2, 2, 20, 7), (2, 2, 30, 3), (2, 2, 30, 7),
-             (2, 2, 40, 3), (2, 2, 40, 7), (4, 2, 40, 7)}
-_ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError,
-                            reason="ROADMAP item 1, exact sphere ranking at high SNR")
 ORACLE_CASES = [
-    pytest.param(n_sub, lsz, snr_db, seed, id=f"ns{n_sub}-l{lsz}-{snr_db}db-seed{seed}",
-                 marks=[_ITEM_1] if (n_sub, lsz, snr_db, seed) in MISRANKED else [])
+    pytest.param(n_sub, lsz, snr_db, seed, id=f"ns{n_sub}-l{lsz}-{snr_db}db-seed{seed}")
     for (n_sub, lsz), snr_db, seed in product(((1, 3), (2, 2), (4, 2), (8, 4)),
                                                (0, 5, 10, 20, 30, 40), (3, 7))
 ]
@@ -277,6 +273,32 @@ class TestExactOracle:
         # exp turns a one-ulp error in a sub-score near 400 into about 1e-13
         # a factor; a bound below the float64 range reads 0 on both sides.
         assert_allclose(sep_bound(inputs), want_bound, rtol=1e-11, atol=0)
+
+
+class TestExactWeightIdentity:
+    """With exact weights, exp(-d_k^g(p)) is the probability that codeword
+    k's g-th sub-vector arrives as pattern p, and the sub-vectors are
+    independent given k. So the bound over an exact-weight table is the
+    list-miss probability itself, whatever the table's ranking, and a
+    simulated miss rate must agree with it to sampling noise."""
+
+    @pytest.mark.parametrize("system, snr_db, seed, n_sub, list_size", [
+        ((2, 4, "qam4"), 10, 3, 2, 2),  # K = 16, bound 0.25
+        ((3, 32, "qam16"), 30, 7, 8, 4),  # K = 4096, bound 0.31
+    ], ids=["k16-10db", "k4096-30db"])
+    def test_bound_is_simulated_miss_rate(self, system, snr_db, seed, n_sub, list_size):
+        ch, table, cb = random_system(*system, snr_db_to_sigma_sq(snr_db), seed=seed)
+        ws = compute_weights_exact(ch, table)
+        inputs = SepBoundInputs.build(cb, ws, SphereConfig(n_sub, list_size))
+        sphere = Receiver(*distance_affine(cb, ws), inputs.table)
+        trials, misses = 200_000, 0
+        for ks, distinct, inverse in _draw_trials(ch, cb, trials, stream_rng(seed, 1),
+                                                  (sphere,)):
+            cand = sphere.candidates(distinct)[inverse]
+            misses += int(np.count_nonzero(~np.any(cand == ks[:, None], axis=1)))
+        bound = sep_bound(inputs)
+        z = (misses / trials - bound) / np.sqrt(bound * (1 - bound) / trials)
+        assert abs(z) < 4, (misses / trials, bound, z)
 
 
 class TestFlipPatternProbabilities:

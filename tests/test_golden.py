@@ -9,13 +9,15 @@ and ``bound`` runs: they are sums of ``exp`` terms whose order follows the
 scoring blocks, so they are compared to 1e-12 relative and every other
 field exactly. ``bound_chunked.csv`` was written before the bound moved
 onto the sphere table; its one group of 65536 patterns x 256 codewords is
-scored in four blocks. ``table_k4096_30db.osd`` was written while the
-table was still ranked by a full stable sort; at 30 dB many sub-codewords
-score exactly alike, and 402 of its 2048 (group, pattern) lists tie at
-their 4th entry, so it pins the smallest-index tie rule at K=4096.
-``llr_k4096_30db.csv`` holds the soft outputs (``compute_llrs``) of one
-observation at K=4096; they are read from the affine form of the whole
-codebook, as when the file was written. ``ser_all.json`` is the only file
+scored in four blocks. ``table_k4096_30db.osd`` was rewritten when
+sub-codeword scores became sums of non-negative weights: each of its 2048
+(group, pattern) lists is the exact ranking, by (distance, index), of
+the float64 weights summed in rational arithmetic. 4 of those lists tie
+at their 4th entry, so it also pins the smallest-index tie rule at
+K=4096. ``llr_k4096_30db.csv`` holds the soft outputs (``compute_llrs``)
+of one observation at K=4096, read from the affine form of the whole
+codebook over the candidates its sphere table lists; it was rewritten
+with that table. ``ser_all.json`` is the only file
 that covers all five detectors, ``mwd-exact`` and ``mwd-hs`` among
 them; it was written before the drivers summed their per-channel
 results through one helper.

@@ -58,6 +58,9 @@ ARGVS = [
      "--out", OUT],
     ["table-build", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "30", "--seed", "12",
      "--out", OUT],
+    # Match weights underflow at 50 dB: 736 of the 2048 lists tie at their 4th entry.
+    ["table-build", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "50", "--seed", "7",
+     "--out", OUT],
     # Signs longer than a pattern's K scores set the sweep's row blocks.
     ["table-build", "-U", "1", "-N", "8", "--mod", "bpsk", "--ns", "16", "--list-size", "1",
      "--snr-db", "10", "--seed", "15", "--out", OUT],
