@@ -39,7 +39,7 @@ class SepBoundInputs:
     @classmethod
     def build(cls, codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> "SepBoundInputs":
         """Rank the table and add up the unlisted mass in one sweep of the
-        sub-codeword scores (see ``detectors._rank``)."""
+        sub-codeword scores (see ``detectors._rank``), building no distance form."""
         unlisted = np.zeros((cfg.group_count(codebook.n_outputs, codebook.size), codebook.size))
         return cls(_rank(codebook, ws, cfg, unlisted), unlisted)
 

@@ -20,10 +20,10 @@ coherence block; ties always resolve to the smallest codeword index.
 A weight set (or channel) keeps the receivers prepared from it, one per
 form, while the codebook stays the same. A weight set holds one
 distance form, built by whichever of :func:`build_sphere_table`,
-``SepBoundInputs.build``, ``detect_*`` or ``compute_llrs`` runs first;
-``detect_osd`` keeps beside it a sphere receiver over that form, until
-another codebook or table replaces it. The arrays of those objects and
-of sphere tables are read-only, so a kept receiver cannot go stale.
+``detect_*`` or ``compute_llrs`` runs first (``SepBoundInputs.build``
+builds none); ``detect_osd`` keeps beside it a sphere receiver over that
+form, until another codebook or table replaces it. The arrays of those
+objects and of sphere tables are read-only, so a kept receiver cannot go stale.
 Every sphere search looks its lists up by pattern keys from one float64
 product, exact in any summation order (see ``_candidates``).
 """
@@ -182,18 +182,18 @@ def weighted_hamming(y, c, w, w_tilde) -> float:
 
 
 def pattern_index(signs) -> int:
-    """Pattern number of a +/-1 vector: bit i = (1 - y_i) / 2, little-endian."""
+    """Exact pattern number of a +/-1 vector: bit i = (1 - y_i) / 2, little-endian."""
     signs = np.asarray(signs)
     _check_signs(signs, "observation")
-    bits = (1 - signs.astype(np.int64)) // 2
-    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
+    (negative,) = np.nonzero(signs < 0)  # unpacks for a vector only
+    return sum(1 << int(i) for i in negative)
 
 
 def pattern_signs(p: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pattern_index`, for p in [0, 2^n)."""
+    """Inverse of :func:`pattern_index`, for p in [0, 2^n); exact for any n."""
     if not 0 <= p < 1 << n:
         raise ValueError(f"pattern {p} out of range [0, 2^{n})")
-    return (1 - 2 * ((p >> np.arange(n)) & 1)).astype(np.int8)
+    return np.array([1 - 2 * ((p >> i) & 1) for i in range(n)], dtype=np.int8)
 
 
 def distance_affine(codebook: Codebook, ws: WeightSet):
@@ -304,7 +304,9 @@ class Receiver:
             values = table.group_count * table.list_size * self.coef.shape[1]
         object.__setattr__(self, "row_values", values)
 
-    def _batch(self, obs) -> np.ndarray:
+    def _batch(self, obs, listed: bool = False) -> np.ndarray:
+        if listed and self.table is None:  # only a sphere table makes sorted lists
+            raise ValueError("a full-search receiver has no sphere table to list candidates")
         obs = np.asarray(obs)  # converted to float64 block by block
         if obs.ndim != 2 or obs.shape[1] != self.coef.shape[1]:
             raise ValueError(
@@ -319,13 +321,13 @@ class Receiver:
         several groups repeats. :meth:`detect`, :func:`assemble_list` and
         :func:`detect_osd` look lists up the same way: one exact float64
         product keys every sub-vector (see :func:`_candidates`)."""
-        return _candidates(self.table, self._batch(obs))
+        return _candidates(self.table, self._batch(obs, listed=True))
 
     def detect(self, obs, cand=None):
         """(winning indices, their scores, searched list lengths) of a
         (T, 2N) batch of +/-1 observations. A sphere receiver takes the
         batch's :meth:`candidates` as ``cand`` when the caller has them."""
-        obs = self._batch(obs)
+        obs = self._batch(obs, listed=cand is not None)
         if len(obs) * self.row_values <= BLOCK_VALUES:  # what _row_blocks makes one block
             return self._decide(obs, cand)
         blocks = [self._decide(obs[rows], None if cand is None else cand[rows])
@@ -404,10 +406,9 @@ def _prepared(owner, build, codebook: Codebook, table: SphereTable | None = None
     are the same objects; another codebook or table replaces them, and a
     receiver already handed out stays valid. All hold read-only arrays,
     so a kept receiver equals a fresh one, and it goes when ``owner``
-    goes. Table builds (through :func:`_sub_scores`), the ``detect_*``
-    functions, ``compute_llrs`` and the experiment drivers all take
-    their forms and receivers from here, so a weight set's distance form
-    is built once.
+    goes. :func:`build_sphere_table`, the ``detect_*`` functions,
+    ``compute_llrs`` and the experiment drivers all take their forms and
+    receivers from here, so a weight set's distance form is built once.
     """
     kept = owner.__dict__.setdefault("_receivers", {})
     entry = kept.get((build, table is None))
@@ -455,9 +456,9 @@ def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     (1 - y) / 2, A (B) the costs of y_i = -1 (+1): w_tilde on a sign
     match, w on a mismatch. Its block's costs go to BLAS as a (groups,
     2 n_sub, K) view, so a group's scores have the same bits however
-    many groups share its block. Blocks are fresh C-ordered arrays.
+    many groups share its block. Blocks are fresh C arrays; no form is built.
     """
-    _prepared(ws, distance_affine, codebook)  # the form the table's sphere receivers search
+    _check_weights(codebook, ws)
     k_total, g_count = codebook.size, codebook.n_outputs // n_sub
     width = max(k_total, 2 * n_sub)  # a pattern's scores, or its bits when those are longer
     step = max(1, BLOCK_VALUES // ((1 << n_sub) * width))
@@ -525,9 +526,11 @@ def build_sphere_table(codebook: Codebook, ws: WeightSet, cfg: SphereConfig) -> 
     O(G 2^n_sub L K), against O(G 2^n_sub K log K) for a full sort: the
     paper's regime is L << K. At K = 4096 the passes beat a stable sort
     up to L of about 200. They run on the blocks of :func:`_sub_scores`,
-    several small groups at a time. At the end the table is held twice:
-    the filled array and the :class:`SphereTable`'s private copy.
+    several small groups at a time, after the weight set's distance form
+    (which the table's sphere receivers search) is prepared. At the end the
+    table is held twice: the filled array and the :class:`SphereTable`'s copy.
     """
+    _prepared(ws, distance_affine, codebook)
     return _rank(codebook, ws, cfg)
 
 

@@ -181,8 +181,8 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     decoder) is charged what its steps keep and the largest extra that
     one step holds at its peak (see :data:`_STEP_BYTES`). Kept: the
     K x 2U float64 symbol vectors, the codebook, the approximate weights
-    when ``mwd``, ``mwd-hs`` or ``osd`` needs them, each full-search
-    form (``osd`` searches that of ``mwd``), the table of the longest
+    when ``mwd``, ``mwd-hs`` or a table (even ``bound``'s) needs them, each
+    full-search form (``osd`` searches that of ``mwd``), the table of the longest
     list, a copy of the table for each shorter list, and with ``mass``
     the (G, K) float64 unlisted mass of the bound. Peak extras: three
     times the symbol vectors while they are enumerated, the steps' own,
@@ -197,7 +197,7 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     steps = {"codebook", *detectors}
     if "osd" in steps:
         steps.add("mwd")
-    if steps & {"mwd", "mwd-hs"}:
+    if list_sizes or steps & {"mwd", "mwd-hs"}:
         steps.add("weights")
     steps &= _STEP_BYTES.keys()
     forms = steps - {"codebook", "weights"}
@@ -485,7 +485,8 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Channel-averaged analytic list-miss bound alone (no simulation);
     one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
-    validate_sep_config(cfg)
+    _check_common(cfg)
+    _check_sphere(cfg, (), (cfg.list_size,), mass=True)  # sep's checks; no detector, no form
     return [_bound_record(cfg, snr, *point) for snr, point in _channel_totals(_bound_block, cfg)]
 
 
@@ -501,24 +502,20 @@ def run_tradeoff_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     validate_tradeoff_config(cfg)
     dets = ["mld", *(SphereConfig(cfg.n_sub, lsz) for lsz in cfg.list_sizes)]
     totals = _channel_totals(partial(_detect_block, dets), cfg)
-    k_total = make_constellation(cfg.modulation).size ** cfg.users
-    _, mld_mults = complexity_model(
-        ComplexityQuery("mld", cfg.users, cfg.antennas, k_total, cfg.time_slots)
-    )
+    system = (cfg.users, cfg.antennas, make_constellation(cfg.modulation).size ** cfg.users,
+              cfg.time_slots)
+    _, mld_mults = complexity_model(ComplexityQuery("mld", *system))
+    rel_complexity = [  # (preprocessing + detection) over mld, one per list size
+        sum(complexity_model(ComplexityQuery("osd", *system, cfg.n_sub, lsz))) / mld_mults
+        for lsz in cfg.list_sizes]
     records = []
     for snr, (mld_errors, mld_sum, *spheres) in totals:
         records.append(_rate_record(cfg, "mld", snr, mld_errors, mld_sum))
         for i, lsz in enumerate(cfg.list_sizes):
             errors, list_sum = spheres[2 * i:2 * i + 2]
-            pre, det = complexity_model(
-                ComplexityQuery("osd", cfg.users, cfg.antennas, k_total, cfg.time_slots,
-                                n_sub=cfg.n_sub, list_size=lsz)
-            )
-            records.append(
-                _rate_record(cfg, f"osd-l{lsz}", snr, errors, list_sum,
-                             rel_ser=(mld_errors / errors) if errors else None,
-                             rel_complexity=(pre + det) / mld_mults)
-            )
+            records.append(_rate_record(cfg, f"osd-l{lsz}", snr, errors, list_sum,
+                                        rel_ser=(mld_errors / errors) if errors else None,
+                                        rel_complexity=rel_complexity[i]))
     return records
 
 

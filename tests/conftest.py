@@ -1,5 +1,8 @@
 import numpy as np
 
+import obdk.analysis
+import obdk.detectors
+import obdk.experiments
 from obdk import (
     ComplexChannel,
     RealChannel,
@@ -39,3 +42,19 @@ def random_system(users: int, antennas: int, scheme: str, sigma_sq: float, seed:
     ch = RealChannel.from_complex(hbar, sigma_sq)
     table = enumerate_symbol_vectors(make_constellation(scheme), users)
     return ch, table, build_codebook(ch, table)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch every binding of ``obdk.detectors.<name>`` in the package so
+    that each call appends its arguments to the returned list."""
+    original = getattr(obdk.detectors, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (obdk.detectors, obdk.analysis, obdk.experiments):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

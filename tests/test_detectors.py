@@ -62,7 +62,7 @@ from obdk.detectors import (
 )
 from obdk.analysis import SepBoundInputs, sep_bound
 from obdk.experiments import validate_sep_config
-from conftest import EXAMPLE_HBAR, example_system, random_system
+from conftest import EXAMPLE_HBAR, count_calls, example_system, random_system
 
 
 def _all_observations(n):
@@ -107,7 +107,10 @@ class TestPatternConvention:
         for p in (5, -1):
             with pytest.raises(ValueError, match=r"pattern -?\d+ out of range \[0, 2\^2\)"):
                 pattern_signs(p, 2)
-        for n in (1, 8, MAX_SUBVECTOR_DIM):
+        # From n = 64 on an int64 sum wraps (pattern_index gave -1 for all
+        # -1 signs) and p >> np.arange(n) overflows; a whole observation
+        # of the K = 4096 systems has 64 entries.
+        for n in (1, 8, MAX_SUBVECTOR_DIM, 63, 64, 65):
             for p in (0, (1 << n) - 1):
                 assert pattern_index(pattern_signs(p, n)) == p
 
@@ -604,29 +607,23 @@ class TestPreparedFullSearch:
         assert peak < 512 * 2**10
 
     def test_one_distance_form_per_weight_set(self, monkeypatch):
-        # The table build, the bound's sweep, both detectors and the soft
-        # outputs all read the form the first of them built; every
-        # binding of distance_affine in the package is counted.
-        original = obdk.detectors.distance_affine
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        for module in (obdk.detectors, obdk.analysis, obdk.experiments):
-            if getattr(module, "distance_affine", None) is original:
-                monkeypatch.setattr(module, "distance_affine", counted)
+        # The table build prepares the form its sphere receivers search;
+        # both detectors and the soft outputs read it. The bound's sweep
+        # sums the weights themselves and builds none, even for a weight
+        # set that has no form yet. Every binding in the package is counted.
+        calls = count_calls(monkeypatch, "distance_affine")
         ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=50)
         ws = compute_weights_approx(ch, table)
         cfg = SphereConfig(4, 2)
         sphere = build_sphere_table(cb, ws, cfg)
+        assert calls == [(cb, ws)]
         SepBoundInputs.build(cb, ws, cfg)
+        SepBoundInputs.build(cb, compute_weights_approx(ch, table), cfg)
         y = cb.codewords[6]
         detect_mwd(y, cb, ws)
         detect_osd(y, sphere, cb, ws)
         compute_llrs(y, assemble_list(y, sphere), cb, ws, 0)
-        assert calls == [ws]
+        assert calls == [(cb, ws)]
 
     def test_pickled_copies_are_read_only_and_carry_no_receivers(self):
         ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=45)
@@ -1076,6 +1073,21 @@ class TestReceiverProperties:
                 pair_index, pair_score, _ = rx.detect(obs[[t, t - 1]])
                 assert pair_index[0] == index[t]
                 assert pair_score[0] == score[t]
+
+    def test_full_search_receiver_has_no_candidate_lists(self):
+        # Before, candidates() failed on table.indices of None and detect()
+        # searched whatever lists it was handed, unsorted ones included.
+        ch, table, cb = random_system(2, 4, "qam4", 0.3, seed=9)
+        ws = compute_weights_approx(ch, table)
+        full = Receiver(*distance_affine(cb, ws))
+        sphere = Receiver(full.base, full.coef, build_sphere_table(cb, ws, SphereConfig(4, 2)))
+        obs = cb.codewords[:3]
+        cand = sphere.candidates(obs)
+        for call in (lambda: full.candidates(obs), lambda: full.detect(obs, cand),
+                     lambda: full.detect(obs, cand[:, ::-1])):
+            with pytest.raises(ValueError, match="full-search receiver has no sphere table"):
+                call()
+        assert_array_equal(full.detect(obs)[0], [0, 1, 2])
 
     @pytest.mark.parametrize("block_values", [1 << 10, 1 << 22])
     def test_block_budget_does_not_change_bits(self, block_values, monkeypatch):

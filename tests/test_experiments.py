@@ -18,7 +18,9 @@ from obdk import (
     RealChannel,
     Receiver,
     SphereConfig,
+    assemble_list,
     build_sphere_table,
+    compute_llrs,
     compute_weights_approx,
     compute_weights_exact,
     pattern_index,
@@ -43,11 +45,12 @@ from obdk.experiments import (
     _draw_trials,
     _receivers,
     _sphere_counts,
+    single_block,
     validate_ser_config,
     validate_sep_config,
     validate_tradeoff_config,
 )
-from conftest import random_system
+from conftest import count_calls, random_system
 
 
 def _small_cfg(**kw):
@@ -235,19 +238,22 @@ class TestSepExperiment:
 def test_one_sub_score_sweep_per_channel_and_snr(run, monkeypatch):
     # The table and the bound come from one sweep of the sub-codeword
     # scores; every binding of the sweep in the package is counted.
-    sweep = obdk.detectors._sub_scores
-    sweeps = []
-
-    def counted(codebook, ws, n_sub):
-        sweeps.append(n_sub)
-        return sweep(codebook, ws, n_sub)
-
-    for module in (obdk.detectors, obdk.analysis, obdk.experiments):
-        if getattr(module, "_sub_scores", None) is sweep:
-            monkeypatch.setattr(module, "_sub_scores", counted)
+    sweeps = count_calls(monkeypatch, "_sub_scores")
     cfg = _small_cfg(snr_db=(0.0, 6.0, 30.0), channels=2, trials=50)
     run(cfg)
-    assert sweeps == [cfg.n_sub] * (len(cfg.snr_db) * cfg.channels)
+    assert [n_sub for _, _, n_sub in sweeps] == [cfg.n_sub] * (len(cfg.snr_db) * cfg.channels)
+
+
+@pytest.mark.parametrize("run, forms", [
+    (run_sep_experiment, 1),  # the one its full-search and sphere receivers search
+    (obdk.experiments.run_bound_sweep, 0),  # its sweep sums the weights themselves
+])
+def test_distance_forms_per_channel_and_snr(run, forms, monkeypatch):
+    calls = count_calls(monkeypatch, "distance_affine")
+    cfg = _small_cfg(snr_db=(0.0, 6.0, 30.0), channels=2, trials=50)
+    run(cfg)
+    assert len(calls) == forms * len(cfg.snr_db) * cfg.channels
+    assert len({id(ws) for _, ws in calls}) == len(calls)  # one form per weight set
 
 
 @pytest.mark.parametrize("run, first", [
@@ -463,10 +469,12 @@ class TestStateBudget:
         # ser (mld, mwd, osd) keeps the codewords, the weights and two
         # forms with their bases, 33 bytes an entry, and peaks in the
         # log-likelihood's tail terms; sep keeps one form and the (G, K)
-        # unlisted mass, and peaks in the weights' terms.
+        # unlisted mass, and peaks in the weights' terms; bound keeps what
+        # sep does but the form and its base.
         needs = {validate_ser_config: fixed + 2 * 8 * k + 33 * entries + 32 * entries,
                  validate_sep_config: fixed + 8 * k + 25 * entries + 8 * 8 * k + 25 * entries}
         needs[run_ser_experiment], needs[run_sep_experiment] = needs.values()
+        needs[obdk.experiments.run_bound_sweep] = fixed + 17 * entries + 8 * 8 * k + 25 * entries
         for check, need in needs.items():
             with pytest.raises(ConfigError, match=f"needs {need} bytes"):
                 check(big)
@@ -528,6 +536,14 @@ class TestStateBudget:
         validate_ser_config(replace(cfg, workers=8, channels=1))
 
 
+def _soft_outputs(cfg):
+    """What the llr command computes: each user's soft outputs for one observation."""
+    y = np.resize(np.array([1, -1, -1], dtype=np.int8), 2 * cfg.antennas)
+    cb, ws, table = single_block(cfg, cfg.snr_db[0], y)
+    candidates = assemble_list(y, table)
+    return [compute_llrs(y, candidates, cb, ws, user) for user in range(cfg.users)]
+
+
 class TestBoundedMemory:
     def test_peak_does_not_grow_with_trials(self):
         # 200 000 trials: all indices are drawn at once (8 bytes a trial),
@@ -544,29 +560,33 @@ class TestBoundedMemory:
             assert peak < 8 * cfg.trials + 3 * 8 * BLOCK_VALUES
 
     # -U 4 -N 16 qam16 --ns 8: K = 2^16, one K x 2N float64 array is 16 MB
-    # and each table at most 1 MB. Sphere heads: the tradeoff case at
-    # -U 2 -N 9 --ns 18 has a 15 MB table at L = 15 and an 8 MB one at 8.
+    # and each table at most 1 MB; the soft outputs need qam4, so theirs
+    # is -U 8 -N 16, of the same K and 2N. Sphere heads: the tradeoff case
+    # at -U 2 -N 9 --ns 18 has a 15 MB table at L = 15 and an 8 MB one at 8.
     BIG = dict(users=4, antennas=16, modulation="qam16", n_sub=8, list_size=4, trials=100,
                channels=1, snr_db=(5.0,))
     HEADS = dict(users=2, antennas=9, modulation="qam4", n_sub=18, list_size=None,
                  list_sizes=(8, 15), trials=100, channels=1, snr_db=(5.0,))
     COMMANDS = {
-        "ser": (BIG, validate_ser_config, run_ser_experiment),
-        "sep": (BIG, validate_sep_config, run_sep_experiment),
-        "bound": (BIG, validate_sep_config, obdk.experiments.run_bound_sweep),
-        "tradeoff": (dict(BIG, list_sizes=(4, 16, 64)), validate_tradeoff_config,
-                     run_tradeoff_sweep),
-        "tradeoff-heads": (HEADS, validate_tradeoff_config, run_tradeoff_sweep),
+        "ser": (BIG, run_ser_experiment),
+        "sep": (BIG, run_sep_experiment),
+        "bound": (BIG, obdk.experiments.run_bound_sweep),
+        "tradeoff": (dict(BIG, list_sizes=(4, 16, 64)), run_tradeoff_sweep),
+        "tradeoff-heads": (HEADS, run_tradeoff_sweep),
+        "table-build": (BIG, lambda cfg: single_block(cfg, cfg.snr_db[0])),
+        "llr": (dict(BIG, users=8, modulation="qam4"), _soft_outputs),
     }
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_block_peak_within_charge(self, command, monkeypatch):
         # One channel at one SNR is one block; ser runs all five detectors.
-        fields, validate, run = self.COMMANDS[command]
+        # With no budget each command is refused before it enumerates
+        # anything, in a message that names its own charge.
+        fields, run = self.COMMANDS[command]
         cfg = ExperimentConfig(detectors=DETECTOR_NAMES, seed=3, **fields)
         monkeypatch.setattr(obdk.experiments, "STATE_BUDGET_BYTES", 0)
         with pytest.raises(ConfigError) as refused:
-            validate(cfg)
+            run(cfg)
         charge = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
         monkeypatch.undo()
         log_q(0.0)  # the first call imports scipy.special, once per process

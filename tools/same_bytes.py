@@ -75,6 +75,9 @@ ARGVS = [
      "--ns", "8", "--list-size", "4"],
     # A usage error: exit code and message.
     ["sep", *K16, "--ns", "3", "--list-size", "2"],
+    # Over the memory budget (K = 2^24): the refusal names each command's charge.
+    *([cmd, "-U", "6", "-N", "32", "--mod", "qam16", "--ns", "8", "--list-size", "4",
+       "--snr-db", "5"] for cmd in ("sep", "bound")),
 ]
 
 THREADS = (None, "1", "4")
