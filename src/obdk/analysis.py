@@ -67,7 +67,8 @@ COMPLEXITY_DETECTORS = ("mld", "mwd", "osd")
 
 @dataclass(frozen=True)
 class ComplexityQuery:
-    """Inputs of the real-multiplication count model."""
+    """Inputs of the real-multiplication count model; ``n_sub`` and
+    ``list_size`` are given for the sphere decoder (``osd``) alone."""
 
     detector: str
     users: int
@@ -83,6 +84,11 @@ class ComplexityQuery:
         for field in (self.users, self.antennas, self.codebook_size, self.time_slots):
             if field < 1:
                 raise ConfigError("all complexity parameters must be positive")
+        sphere = (self.n_sub is not None, self.list_size is not None)
+        if self.detector == "osd" and not all(sphere):
+            raise ConfigError("the sphere decoder needs n_sub and list_size")
+        if self.detector != "osd" and any(sphere):
+            raise ConfigError("--ns/--list-size are only valid when 'osd' is selected")
 
 
 def complexity_model(q: ComplexityQuery) -> tuple[int, int]:
@@ -96,8 +102,6 @@ def complexity_model(q: ComplexityQuery) -> tuple[int, int]:
         return 0, (4 * u + 6) * n * k * td
     if q.detector == "mwd":
         return 0, (4 * u + 14) * n * k * td
-    if q.n_sub is None or q.list_size is None:
-        raise ConfigError("the sphere decoder needs n_sub and list_size")
     groups = SphereConfig(q.n_sub, q.list_size).group_count(2 * n, k)
     pre = (1 << q.n_sub) * (4 * u + 14) * n * k
     det = groups * q.list_size * (4 * u + 14) * n * td

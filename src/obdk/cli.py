@@ -76,13 +76,15 @@ def _add_sphere_args(p: argparse.ArgumentParser, required: bool = False) -> None
                    help="sphere per-pattern list size")
 
 
-def _add_experiment_args(p: argparse.ArgumentParser, run) -> None:
-    """Flags every Monte-Carlo command shares, and ``run`` as its driver."""
+def _add_experiment_args(p: argparse.ArgumentParser, run, draws: bool = True) -> None:
+    """Flags every Monte-Carlo command shares, and ``run`` as its driver;
+    ``--trials`` only when the command ``draws`` trials."""
     p.set_defaults(func=partial(_cmd_experiment, run))
     _add_system_args(p)
     p.add_argument("--snr-db", type=_list_of(float, "numbers"),
                    help="comma-separated SNR grid in dB (SNR = 1/sigma^2)")
-    p.add_argument("--trials", type=int, help="trials per (channel, SNR) point")
+    if draws:
+        p.add_argument("--trials", type=int, help="trials per (channel, SNR) point")
     p.add_argument("--channels", type=int, help="number of channel realizations")
     p.add_argument("--workers", type=int, help="worker processes (OBDK_THREADS overrides)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detection slots per coherence block")
 
     p = command("bound", help="channel-averaged analytic list-miss bound")
-    _add_experiment_args(p, run_bound_sweep)
+    _add_experiment_args(p, run_bound_sweep, draws=False)
     _add_sphere_args(p)
 
     p = command("complexity", help="real-multiplication counts per detector")

@@ -170,13 +170,16 @@ def _row_blocks(n_rows: int, width: int):
 
 
 def weighted_hamming(y, c, w, w_tilde) -> float:
-    """Sum of w_i over sign mismatches plus w_tilde_i over sign matches."""
+    """Sum of w_i over sign mismatches plus w_tilde_i over sign matches;
+    ``y`` and ``c`` must be real +/-1."""
     y = np.asarray(y)
     c = np.asarray(c)
     w = np.asarray(w, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     if not (y.shape == c.shape == w.shape == w_tilde.shape):
         raise ValueError("all four vectors must have the same length")
+    _check_signs(y, "observation")
+    _check_signs(c, "codeword")
     mismatch = y != c
     return float(np.sum(np.where(mismatch, w, w_tilde)))
 
@@ -289,6 +292,9 @@ class Receiver:
     _full_tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.coef.shape[0] != len(self.base):  # a gathered row would score another codeword
+            raise ValueError(
+                f"coef has {self.coef.shape[0]} rows, base has {len(self.base)} entries")
         rel = 4 * (self.coef.shape[1] + 1) * np.finfo(np.float64).eps
         object.__setattr__(self, "_rel", rel)
         if self.table is None:  # the sphere search takes its tolerance per observation
@@ -444,14 +450,29 @@ def _block_bits(rows: slice, n_sub: int) -> np.ndarray:
     return np.concatenate((bits, 1 - bits), axis=1, dtype=np.float64)
 
 
+# Bytes that a block of the sub-score sweep holds per codeword and
+# position of its groups: the float64 costs A and B and their sign mask.
+_SWEEP_COST_BYTES = 17
+
+
+def _sweep_groups(n_sub: int, k_total: int, g_count: int) -> int:
+    """Whole groups in one block of :func:`_sub_scores`: as many as keep
+    its 2^n_sub rows of max(K, 2 n_sub) values (a pattern's scores, or
+    its bits when those are longer) within :data:`BLOCK_VALUES`, at least
+    one and at most ``g_count``."""
+    return min(g_count, max(1, BLOCK_VALUES // ((1 << n_sub) * max(k_total, 2 * n_sub))))
+
+
 def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     """Sub-codeword scores d_k^g(p) of every sub-vector pattern p.
 
     Yields blocks (group slice, pattern slice, (groups, patterns, K)
     scores) in ascending order, at most :data:`BLOCK_VALUES` scores
-    each: as many whole groups as fit, or one group in the pattern row
-    blocks of :func:`_row_blocks` when a group alone does not fit. Row p
-    of a group's scores belongs to :func:`pattern_signs` (p, n_sub). A
+    each: the whole groups of :func:`_sweep_groups`, or one group in the
+    pattern row blocks of :func:`_row_blocks` when a group alone does not
+    fit; the block's costs hold :data:`_SWEEP_COST_BYTES` per codeword
+    and position. Row p of a group's scores belongs to
+    :func:`pattern_signs` (p, n_sub). A
     score sums non-negative costs, [bits, 1 - bits] @ [A; B] for bits
     (1 - y) / 2, A (B) the costs of y_i = -1 (+1): w_tilde on a sign
     match, w on a mismatch. Its block's costs go to BLAS as a (groups,
@@ -460,9 +481,8 @@ def _sub_scores(codebook: Codebook, ws: WeightSet, n_sub: int):
     """
     _check_weights(codebook, ws)
     k_total, g_count = codebook.size, codebook.n_outputs // n_sub
-    width = max(k_total, 2 * n_sub)  # a pattern's scores, or its bits when those are longer
-    step = max(1, BLOCK_VALUES // ((1 << n_sub) * width))
-    pattern_blocks = list(_row_blocks(1 << n_sub, width))  # one block when step > 1
+    step = _sweep_groups(n_sub, k_total, g_count)
+    pattern_blocks = list(_row_blocks(1 << n_sub, max(k_total, 2 * n_sub)))  # one if step > 1
     w, w_tilde, c = (a.reshape(k_total, -1, n_sub) for a in (ws.w, ws.w_tilde, codebook.codewords))
     for start in range(0, g_count, step):
         groups = slice(start, min(start + step, g_count))

@@ -34,8 +34,10 @@ from .detectors import (
     distance_affine,
     _mismatch_affine,
     _negated_loglik_affine,
+    _SWEEP_COST_BYTES,
     _prepared,
     _row_blocks,
+    _sweep_groups,
 )
 from .weights import compute_weights_approx, compute_weights_exact
 
@@ -187,10 +189,11 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     the (G, K) float64 unlisted mass of the bound. Peak extras: three
     times the symbol vectors while they are enumerated, the steps' own,
     and for a table build a second copy of the table (the filled array
-    beside the table's private copy) and the float64 costs A and B plus
-    a sign mask of its sweep's block of groups, 17 bytes per codeword
-    and position. On top come the 8-byte trial indices, all drawn at
-    once, and three BLOCK_VALUES float64 temporaries for row blocks."""
+    beside the table's private copy) and the costs of its sweep's block
+    of groups (see ``detectors._sweep_groups``). On top come the 8-byte
+    trial indices, all drawn at once, unless ``detectors`` is empty
+    (``bound`` draws no trial), and three BLOCK_VALUES float64
+    temporaries for row blocks."""
     two_n = 2 * cfg.antennas
     k_total = make_constellation(cfg.modulation).size ** cfg.users
     entries, vectors = k_total * two_n, k_total * 2 * cfg.users * 8
@@ -213,10 +216,11 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
         lists, longest = groups * (1 << cfg.n_sub) * 4, max(list_sizes)
         kept += lists * (longest + sum(lsz for lsz in list_sizes if lsz < longest))
         kept += 8 * groups * k_total * mass
-        step = BLOCK_VALUES // ((1 << cfg.n_sub) * max(k_total, 2 * cfg.n_sub))  # groups a block
-        extra = max(extra, lists * longest + 17 * k_total * cfg.n_sub * min(max(step, 1), groups))
+        sweep = _SWEEP_COST_BYTES * k_total * cfg.n_sub * _sweep_groups(cfg.n_sub, k_total, groups)
+        extra = max(extra, lists * longest + sweep)
     blocks = min(cfg.workers, cfg.channels)
-    need = blocks * (kept + extra + 8 * cfg.trials + 3 * 8 * BLOCK_VALUES)
+    draws = 8 * cfg.trials if detectors else 0
+    need = blocks * (kept + extra + draws + 3 * 8 * BLOCK_VALUES)
     if need > STATE_BUDGET_BYTES:
         what = "a block" if blocks == 1 else f"{blocks} blocks run at once"
         raise ConfigError(
@@ -486,7 +490,7 @@ def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Channel-averaged analytic list-miss bound alone (no simulation);
     one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
     _check_common(cfg)
-    _check_sphere(cfg, (), (cfg.list_size,), mass=True)  # sep's checks; no detector, no form
+    _check_sphere(cfg, (), (cfg.list_size,), mass=True)  # sep's checks; no form, no trial
     return [_bound_record(cfg, snr, *point) for snr, point in _channel_totals(_bound_block, cfg)]
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from obdk import (
     ComplexityQuery,
+    ConfigError,
     Receiver,
     SepBoundInputs,
     SphereConfig,
@@ -348,6 +349,19 @@ class TestComplexityModel:
         with pytest.raises(ValueError):
             complexity_model(ComplexityQuery("osd", 2, 8, 16, 1))
 
+    @pytest.mark.parametrize("query, message", [
+        (("mld", 2, 8, 16, 1, 4), "--ns/--list-size are only valid when 'osd' is selected"),
+        (("mwd", 2, 8, 16, 1, None, 2), "--ns/--list-size are only valid when 'osd' is selected"),
+        (("osd", 2, 8, 16, 1, None, 2), "the sphere decoder needs n_sub and list_size"),
+        (("zf", 2, 8, 16, 1), "unknown detector for complexity model: 'zf'"),
+    ], ids=["mld-n_sub", "mwd-list_size", "osd-no-n_sub", "unknown"])
+    def test_rejected_queries(self, query, message):
+        # The query itself holds the sphere-value rule: before, mld and mwd
+        # took either value and ignored it.
+        with pytest.raises(ConfigError) as exc:
+            ComplexityQuery(*query)
+        assert str(exc.value) == message
+
     def test_rejects_bad_divisor(self):
         # n_sub = 3 does not divide 2N = 16; L = K and n_sub = 21 break
         # the other sphere rules.
@@ -399,6 +413,13 @@ class TestComputeLlrs:
         ws = compute_weights_approx(ch, table)
         with pytest.raises(ValueError):
             compute_llrs(cb.codewords[0], np.arange(cb.size), cb, ws, 0)
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_rejects_user_out_of_range(self, user):
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=57)
+        ws = compute_weights_approx(ch, table)
+        with pytest.raises(ValueError, match=f"user index {user} out of range"):
+            compute_llrs(cb.codewords[4], np.arange(4, 8), cb, ws, user)
 
     def test_rejects_empty_list(self):
         ch, table, cb = random_system(1, 2, "qam4", 0.5, seed=56)

@@ -149,6 +149,20 @@ class TestRealChannelValidation:
         with pytest.raises(ValueError):
             RealChannel(np.ones((3, 2)), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        h = np.ones((2, 2))
+        h[1, 0] = bad
+        with pytest.raises(ValueError, match="real channel matrix contains non-finite entries"):
+            RealChannel(h, 1.0)
+        with pytest.raises(ValueError, match="channel matrix contains non-finite entries"):
+            ComplexChannel(np.array([[1.0, 1j * bad]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (3,), (1, 1, 1)])
+    def test_complex_channel_rejects_bad_dimensions(self, shape):
+        with pytest.raises(ValueError, match="2-D with positive dimensions"):
+            ComplexChannel(np.ones(shape, dtype=complex))
+
     def test_rejects_bad_noise_variance(self):
         with pytest.raises(ValueError):
             RealChannel(np.ones((2, 2)), 0.0)

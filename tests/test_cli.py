@@ -43,6 +43,18 @@ class TestComplexityCommand:
         assert code == 2
         assert "n_sub" in err
 
+    @pytest.mark.parametrize("detector", ["mld", "mwd"])
+    @pytest.mark.parametrize("sphere", [["--ns", "7"], ["--list-size", "999999"],
+                                        ["--ns", "4", "--list-size", "2"]],
+                             ids=["ns", "list-size", "both"])
+    def test_full_search_refuses_sphere_flags(self, capsys, detector, sphere):
+        # Only the sphere decoder reads them; before, mld and mwd ignored
+        # them and exited 0.
+        argv = ["complexity", "--detector", detector, "-U", "2", "-N", "8", "-K", "16",
+                "--td", "1", *sphere]
+        assert _run(capsys, argv) == (
+            2, "", "error: --ns/--list-size are only valid when 'osd' is selected\n")
+
     @pytest.mark.parametrize("change, message", [
         (["--list-size", "99"], "list size 99 must lie in [1, K) with K = 16"),
         (["--list-size", "0"], "list size 0 must lie in [1, K) with K = 16"),
@@ -93,6 +105,15 @@ class TestUsageErrors:
         assert code == 2
         assert "antennas" in err or "-N" in err
 
+    @pytest.mark.parametrize("argv, noun", [
+        (["ser", "-U", "1", "-N", "1", "--snr-db", "1,x"], "numbers"),
+        (["tradeoff", "-U", "1", "-N", "1", "--ns", "2", "--list-sizes", "2,x"], "integers"),
+    ])
+    def test_unparsable_list_value(self, capsys, argv, noun):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"expected comma-separated {noun}, got '{argv[-1]}'" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = _run(capsys, ["frobnicate"])
         assert code == 2
@@ -108,7 +129,7 @@ class TestUsageErrors:
          "--list-size", "2", *FEW],
         ["sep", "-U", "2", "-N", "8", "--ns", "0", "--list-size", "2", *FEW],
         ["tradeoff", "-U", "2", "-N", "8", "--ns", "8", "--list-sizes", "16", *FEW],
-        ["bound", "-U", "2", "-N", "8", "--ns", "32", "--list-size", "2", *FEW],
+        ["bound", "-U", "2", "-N", "8", "--ns", "32", "--list-size", "2", "--channels", "1"],
         ["ser", "-U", "2", "-N", "8", "--detectors", "osd", "--ns", "8", "--list-size", "0", *FEW],
         ["table-build", "-U", "2", "-N", "8", "--snr-db", "5", "--ns", "16", "--list-size", "16",
          "--out", os.devnull],
@@ -178,7 +199,7 @@ def test_tradeoff_time_slots_below_one_is_a_usage_error(capsys, td):
     ["ser", "-U", "2", "-N", "4", *FEW],
     ["sep", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", *FEW],
     ["tradeoff", "-U", "2", "-N", "4", "--ns", "4", "--list-sizes", "2", *FEW],
-    ["bound", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", *FEW],
+    ["bound", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--channels", "1"],
     ["table-build", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--out", os.devnull],
     ["llr", "-U", "2", "-N", "4", "--ns", "4", "--list-size", "2", "--y", "1,1,1,1,1,1,1,1"],
 ])
@@ -370,13 +391,23 @@ class TestBoundCommand:
         code, out, _ = _run(
             capsys,
             ["bound", "-U", "2", "-N", "4", "--snr-db", "0,5", "--ns", "4",
-             "--list-size", "2", "--channels", "3", "--trials", "1"],
+             "--list-size", "2", "--channels", "3"],
         )
         assert code == 0
         lines = out.strip().split("\n")
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == ["bound", "bound"]
         assert all(0.0 <= float(r[5]) <= 1.0 for r in rows)
+
+    def test_trials_is_not_a_flag(self, capsys):
+        # bound draws no trial; before, --trials changed nothing but its charge.
+        code, out, err = _run(
+            capsys,
+            ["bound", "-U", "2", "-N", "4", "--snr-db", "0", "--ns", "4", "--list-size", "2",
+             "--channels", "1", "--trials", "5"],
+        )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --trials 5" in err
 
 
 class TestTableBuildCommand:
@@ -391,6 +422,17 @@ class TestTableBuildCommand:
         table = read_sphere_table(out)
         assert table.indices.shape == (2, 16, 2)
         assert table.codebook_size == 16
+
+    def test_unwritable_out_is_a_runtime_error(self, capsys, tmp_path):
+        # A failure past validation exits 1, not 2.
+        out = tmp_path / "missing" / "table.osd"
+        code, stdout, err = _run(
+            capsys,
+            ["table-build", "-U", "2", "-N", "4", "--snr-db", "5", "--ns", "4",
+             "--list-size", "2", "--out", str(out)],
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
 
 
 class TestLlrCommand:

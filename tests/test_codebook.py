@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from obdk import (
     Codebook,
+    Constellation,
     RealChannel,
     SymbolTable,
     build_codebook,
@@ -39,6 +40,11 @@ class TestMakeConstellation:
         with pytest.raises(ValueError):
             make_constellation("psk8")
 
+    @pytest.mark.parametrize("points", [[1, -1, 1j, -1j + 0.1], [2, -2]], ids=["near", "four"])
+    def test_rejects_average_power_other_than_one(self, points):
+        with pytest.raises(ValueError, match="average power is .*, expected 1"):
+            Constellation("custom", np.array(points, dtype=complex))
+
 
 class TestEnumerateSymbolVectors:
     def test_bpsk_two_users_order(self):
@@ -70,6 +76,11 @@ class TestEnumerateSymbolVectors:
     def test_capacity_cap(self):
         with pytest.raises(ValueError):
             enumerate_symbol_vectors(make_constellation("bpsk"), 25)
+
+    @pytest.mark.parametrize("users", [0, -1])
+    def test_user_count_below_one(self, users):
+        with pytest.raises(ValueError, match="user count must be >= 1"):
+            enumerate_symbol_vectors(make_constellation("bpsk"), users)
 
     def test_user_one_most_significant(self):
         t = enumerate_symbol_vectors(make_constellation("bpsk"), 3)

@@ -88,6 +88,13 @@ class TestWeightedHamming:
         with pytest.raises(ValueError):
             weighted_hamming([1, -1], [1], [1.0], [0.1])
 
+    @pytest.mark.parametrize("bad", [[1, 0], [1j, -1j], [2, -2]], ids=["bits", "complex", "two"])
+    def test_rejects_non_signs(self, bad):
+        # Before, y = [1, 0] against c = [1, 1] scored 1.1, the 0 a mismatch.
+        for y, c in ((bad, [1, 1]), ([1, 1], bad)):
+            with pytest.raises(ValueError, match=r"\+1 or -1"):
+                weighted_hamming(y, c, [1.0, 1.0], [0.1, 0.1])
+
 
 class TestPatternConvention:
     def test_known_patterns(self):
@@ -1088,6 +1095,30 @@ class TestReceiverProperties:
             with pytest.raises(ValueError, match="full-search receiver has no sphere table"):
                 call()
         assert_array_equal(full.detect(obs)[0], [0, 1, 2])
+
+    def test_coef_of_another_length_rejected(self):
+        # K = 256 > G * L * 2N = 16: the sphere search gathers coef rows by
+        # index. Before, reversed rows plus 4 more were searched without a
+        # word: codewords 67, 19, 9 and 8, observed as they are, were
+        # detected as [67 7 10 24].
+        ch, table, cb = random_system(2, 4, "qam16", 0.5, seed=1)
+        ws = compute_weights_approx(ch, table)
+        base, coef = distance_affine(cb, ws)
+        sphere = build_sphere_table(cb, ws, SphereConfig(8, 2))
+        bad = np.vstack((coef[::-1], coef[:4]))
+        for tab in (None, sphere):
+            with pytest.raises(ValueError, match="coef has 260 rows, base has 256 entries"):
+                Receiver(base, bad, tab)
+
+    @pytest.mark.parametrize("width", [6, 10])
+    @pytest.mark.parametrize("sphere", [False, True], ids=["full", "sphere"])
+    def test_batch_of_another_width_rejected(self, width, sphere):
+        ch, table, cb = random_system(2, 4, "qam4", 0.5, seed=9)
+        ws = compute_weights_approx(ch, table)
+        tab = build_sphere_table(cb, ws, SphereConfig(4, 2)) if sphere else None
+        rx = Receiver(*distance_affine(cb, ws), tab)
+        with pytest.raises(ValueError, match=rf"shape \(3, {width}\), expected \(T, 8\)"):
+            rx.detect(np.ones((3, width)))
 
     @pytest.mark.parametrize("block_values", [1 << 10, 1 << 22])
     def test_block_budget_does_not_change_bits(self, block_values, monkeypatch):

@@ -449,6 +449,10 @@ class TestValidation:
             run_ser_experiment(_small_cfg(seed=seed))
         _check_common(_small_cfg(seed=np.uint64(2**64 - 1)))  # numpy integers stay accepted
 
+    def test_unknown_modulation(self):
+        with pytest.raises(ConfigError, match="unsupported --mod value: 'psk8'"):
+            _check_common(_small_cfg(modulation="psk8"))
+
     def test_bad_trial_counts(self):
         with pytest.raises(ConfigError):
             validate_ser_config(_small_cfg(trials=0))
@@ -470,11 +474,12 @@ class TestStateBudget:
         # forms with their bases, 33 bytes an entry, and peaks in the
         # log-likelihood's tail terms; sep keeps one form and the (G, K)
         # unlisted mass, and peaks in the weights' terms; bound keeps what
-        # sep does but the form and its base.
+        # sep does but the form and its base, and draws no trial indices.
         needs = {validate_ser_config: fixed + 2 * 8 * k + 33 * entries + 32 * entries,
                  validate_sep_config: fixed + 8 * k + 25 * entries + 8 * 8 * k + 25 * entries}
         needs[run_ser_experiment], needs[run_sep_experiment] = needs.values()
-        needs[obdk.experiments.run_bound_sweep] = fixed + 17 * entries + 8 * 8 * k + 25 * entries
+        needs[obdk.experiments.run_bound_sweep] = (fixed - 8 * big.trials + 17 * entries
+                                                   + 8 * 8 * k + 25 * entries)
         for check, need in needs.items():
             with pytest.raises(ConfigError, match=f"needs {need} bytes"):
                 check(big)
@@ -519,6 +524,10 @@ class TestStateBudget:
                                (validate_tradeoff_config, sphere)):
             with pytest.raises(ConfigError, match="budget"):
                 check(checked)
+        # bound draws none, so its charge does not read the trial count.
+        # Before, the same block was refused for indices it never drew.
+        bound = obdk.experiments.run_bound_sweep(replace(sphere, channels=1, snr_db=(0.0,)))
+        assert [r.trials for r in bound] == [0]
         validate_ser_config(replace(cfg, trials=100_000_000))
 
     def test_blocks_run_at_once_count_toward_budget(self, monkeypatch):

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from obdk import (
     ComplexChannel,
     RealChannel,
+    WeightSet,
     compute_weights_approx,
     compute_weights_exact,
     enumerate_symbol_vectors,
@@ -175,3 +176,15 @@ class TestApproxWeights:
         q = ndtr(-s)
         assert np.all(np.abs(np.exp(-ws.w[0, :n]) - q) <= 1e-3)
         assert np.all(np.abs(np.exp(-ws.w_tilde[0, :n]) - (1 - q)) <= 1e-3)
+
+
+class TestWeightSetValidation:
+    @pytest.mark.parametrize("w, w_tilde, message", [
+        (np.ones((2, 4)), np.ones((2, 3)), "identical shapes"),
+        (np.ones((2, 4)), np.zeros((2, 4)), "strictly positive"),
+        (-np.ones((2, 4)), np.ones((2, 4)), "strictly positive"),
+        (np.full((2, 4), np.inf), np.ones((2, 4)), "finite"),
+    ], ids=["shape", "zero-match", "negative-mismatch", "infinite"])
+    def test_rejects_malformed_weights(self, w, w_tilde, message):
+        with pytest.raises(ValueError, match=message):
+            WeightSet(w, w_tilde)

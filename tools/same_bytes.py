@@ -75,6 +75,12 @@ ARGVS = [
      "--ns", "8", "--list-size", "4"],
     # A usage error: exit code and message.
     ["sep", *K16, "--ns", "3", "--list-size", "2"],
+    # Values the command does not read are usage errors: bound draws no
+    # trial, and only the sphere decoder's count reads --ns and --list-size.
+    ["bound", *K16, "--ns", "8", "--list-size", "4", "--snr-db", "0", "--channels", "1",
+     "--trials", "5"],
+    ["complexity", "--detector", "mld", "-U", "3", "-N", "32", "-K", "4096", "--td", "64",
+     "--ns", "8", "--list-size", "4"],
     # Over the memory budget (K = 2^24): the refusal names each command's charge.
     *([cmd, "-U", "6", "-N", "32", "--mod", "qam16", "--ns", "8", "--list-size", "4",
        "--snr-db", "5"] for cmd in ("sep", "bound")),
