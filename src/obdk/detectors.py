@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -279,6 +280,30 @@ class Receiver:
     of each observation for the sphere search. The tolerance is twice
     that bound; codewords that are not compared do not enter it. The
     full-search tolerance is fixed when the receiver is built.
+
+    Full search screens a block of two or more rows in float32 where
+    :func:`_screens` holds (K >= 724: full blocks of BLOCK_VALUES // K
+    rows are no taller than wide). One float32 GEMM scores [1, y]
+    against a float32 [base, -coef], kept from the first screened batch
+    on; each row's argmin is masked and its second minimum taken. Each
+    of the 2N + 1 stored terms rounds by at most u32 of itself (or half
+    the smallest subnormal), and the GEMM sums them with error at most
+    gamma_2N of their absolute sum, itself at most 2 |base_k|; so a
+    float32 score errs by at most B32 = (2N + 3) (eps32 max|base| +
+    smallest subnormal). With e64 = (2N + 1) eps max|base| bounding a
+    float64 score, every codeword within the tolerance of the float64
+    minimum lies within the slack tol + 2 (B32 + e64) of the float32
+    minimum; the slack also covers the float32 rounding of the threshold
+    (for 2N below 2^20). A row whose second minimum lies beyond it has
+    one codeword in that window, which is therefore the float64 rule's
+    only candidate: its winner, ties included. The other rows are
+    crowded and decide by the float64 rule on a GEMM of the crowded rows
+    (a lone one twice). A form whose sums may leave the float32 range is
+    not screened. Every screened row then takes its score from its
+    own gathered product base_k - coef_k . y, so a score does not depend
+    on the batch. Single observations, the sphere search and narrower
+    codebooks (taller blocks, where the screen costs more than it saves)
+    never build the float32 copy.
     """
 
     base: np.ndarray
@@ -347,8 +372,50 @@ class Receiver:
         scores = np.matmul(obs, self.coef.T, out=np.empty(shape, order=_long_side(*shape)))
         return np.subtract(self.base, scores, out=scores)  # one (rows, K) array, not two
 
+    @cached_property
+    def _screen(self):
+        """Float32 [base, -coef] (read-only) and the float32 slack of the
+        full-search screen, or None for a form whose sums may leave the
+        float32 range; see the class docstring."""
+        n = self.coef.shape[1]
+        top = float(np.max(np.abs(self.base), initial=0.0))
+        f32 = np.finfo(np.float32)
+        if not 4 * top < float(f32.max):  # sums reach 2 max|base|
+            return None
+        b32 = (n + 3) * (float(f32.eps) * top + float(f32.smallest_subnormal))
+        # tol + 2 e64 = 1.5 tol, 2 B32, and 2 eps32 max|base| for the threshold's rounding
+        slack = 1.5 * self._full_tol + 2 * b32 + 2 * float(f32.eps) * top
+        form = np.empty((n + 1, len(self.base)), dtype=np.float32)  # (2N + 1, K): faster GEMM
+        form[0] = self.base
+        np.negative(self.coef.T, out=form[1:])
+        form.flags.writeable = False
+        return form, np.float32(slack)
+
+    def _decide_screened(self, obs):
+        """Full search of a block of two or more float64 rows through the
+        float32 screen of the class docstring."""
+        form, slack = self._screen
+        ones_obs = np.empty((len(obs), len(form)), dtype=np.float32)
+        ones_obs[:, 0] = 1
+        ones_obs[:, 1:] = obs
+        scores = ones_obs @ form
+        rows = np.arange(len(obs))
+        best = scores.argmin(axis=1)
+        low = scores[rows, best]
+        scores[rows, best] = np.inf
+        crowded = np.flatnonzero(~(scores.min(axis=1) > low + slack))  # NaN crowds too
+        if len(crowded):
+            exact = self._scores(obs[np.resize(crowded, max(2, len(crowded)))])  # GEMM, not GEMV
+            won = (exact <= exact.min(axis=1, keepdims=True) + self._full_tol).argmax(axis=1)
+            best[crowded] = won[:len(crowded)]
+        score = self.base[best] - np.einsum("tn,tn->t", self.coef[best], obs)
+        return best, score, np.full(len(obs), len(self.base))
+
     def _decide(self, obs, cand):
         obs = np.asarray(obs, dtype=np.float64)
+        if (self.table is None and len(obs) >= 2 and _screens(len(self.base))
+                and self._screen is not None):
+            return self._decide_screened(obs)
         if cand is None and self.table is not None:
             cand = _candidates(self.table, obs)
         # An exact match under the high-SNR rule scores base - coef.y = 0
@@ -370,6 +437,13 @@ class Receiver:
             return best, scores[rows, best], np.full(len(obs), len(self.base))
         lens = (cand[:, 1:] != cand[:, :-1]).sum(axis=1, dtype=np.intp) + 1
         return cand[rows, best], scores[rows, best], lens
+
+
+def _screens(k_total: int) -> bool:
+    """Whether full search over K = ``k_total`` codewords screens its
+    batches in float32 (see :class:`Receiver`): where its full row blocks,
+    BLOCK_VALUES // K rows, are no taller than wide."""
+    return BLOCK_VALUES // k_total <= k_total
 
 
 def _long_side(n_rows: int, width: int) -> str:

@@ -37,6 +37,7 @@ from .detectors import (
     _SWEEP_COST_BYTES,
     _prepared,
     _row_blocks,
+    _screens,
     _sweep_groups,
 )
 from .weights import compute_weights_approx, compute_weights_exact
@@ -144,10 +145,11 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.default is MISSING)
 
 
-def _check_common(cfg: ExperimentConfig) -> None:
+def _check_common(cfg: ExperimentConfig, draws: bool = True) -> None:
+    """The rules every experiment shares; ``trials`` only when it ``draws``."""
     if cfg.users < 1 or cfg.antennas < 1:
         raise ConfigError("--users and --antennas must be >= 1")
-    if cfg.trials < 1:
+    if draws and cfg.trials < 1:
         raise ConfigError("--trials must be >= 1")
     if cfg.channels < 1:
         raise ConfigError("--channels must be >= 1")
@@ -184,7 +186,9 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     one step holds at its peak (see :data:`_STEP_BYTES`). Kept: the
     K x 2U float64 symbol vectors, the codebook, the approximate weights
     when ``mwd``, ``mwd-hs`` or a table (even ``bound``'s) needs them, each
-    full-search form (``osd`` searches that of ``mwd``), the table of the longest
+    full-search form (``osd`` searches that of ``mwd``), the float32 copy
+    of each form that a full-search detector of ``detectors`` screens
+    (see ``detectors._screens``), the table of the longest
     list, a copy of the table for each shorter list, and with ``mass``
     the (G, K) float64 unlisted mass of the bound. Peak extras: three
     times the symbol vectors while they are enumerated, the steps' own,
@@ -205,6 +209,8 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     steps &= _STEP_BYTES.keys()
     forms = steps - {"codebook", "weights"}
     kept = vectors + 8 * k_total * len(forms) + entries * sum(_STEP_BYTES[s][0] for s in steps)
+    if _screens(k_total):  # the float32 [base, -coef] of each form searched in full
+        kept += 4 * (entries + k_total) * len(forms & set(detectors))
     extra = max(3 * vectors, *(entries * _STEP_BYTES[s][1] for s in steps))
     if list_sizes:
         if cfg.n_sub is None:
@@ -489,7 +495,7 @@ def run_sep_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 def run_bound_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Channel-averaged analytic list-miss bound alone (no simulation);
     one ``bound`` row per SNR, as in :func:`run_sep_experiment`."""
-    _check_common(cfg)
+    _check_common(cfg, draws=False)
     _check_sphere(cfg, (), (cfg.list_size,), mass=True)  # sep's checks; no form, no trial
     return [_bound_record(cfg, snr, *point) for snr, point in _channel_totals(_bound_block, cfg)]
 

@@ -177,7 +177,7 @@ def test_state_beyond_memory_budget_is_a_usage_error(capsys, argv):
      "--ns/--list-size are only valid when 'osd' is selected"),
     (["tradeoff", "-U", "4", "-N", "20", "--mod", "qam16", "--ns", "20", "--list-sizes", "200,4",
       *FEW],
-     "a block of K = 65536 codewords of length 2N = 40 needs 3515613264 bytes of state, "
+     "a block of K = 65536 codewords of length 2N = 40 needs 3526361168 bytes of state, "
      "above the budget of 1073741824 bytes"),
 ])
 def test_sphere_check_precedence(capsys, argv, message):

@@ -54,6 +54,7 @@ from obdk.detectors import (
     _candidates,
     _mismatch_affine,
     _nearest,
+    _negated_loglik_affine,
     _prepared,
     _row_blocks,
     _sub_scores,
@@ -1143,6 +1144,107 @@ class TestReceiverProperties:
         for got, want in zip(outputs(), default, strict=True):
             assert got.dtype == want.dtype
             assert_array_equal(got, want)
+
+
+def _float64_rule(base, coef, obs):
+    """Full-search winners of a batch by the float64 rule alone: the
+    smallest index within 4 (2N + 1) eps max|base| of the row minimum."""
+    scores = base - np.asarray(obs, dtype=np.float64) @ coef.T
+    tol = 4 * (coef.shape[1] + 1) * np.finfo(np.float64).eps * np.max(np.abs(base))
+    return (scores <= scores.min(1, keepdims=True) + tol).argmax(1)
+
+
+def _crowded_rows(monkeypatch) -> list:
+    """Row counts of the float64 GEMMs that full search runs from now on."""
+    counts = []
+    original = Receiver._scores
+
+    def counted(self, obs):
+        counts.append(len(obs))
+        return original(self, obs)
+
+    monkeypatch.setattr(Receiver, "_scores", counted)
+    return counts
+
+
+class TestFullSearchScreen:
+    """Full search over K >= 724 codewords screens a batch in float32 and
+    decides crowded rows in float64, with the float64 rule's winners."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0, 30.0, 50.0])
+    def test_winners_equal_the_float64_rule(self, snr_db, monkeypatch):
+        ch, table, cb = random_system(3, 32, "qam16", snr_db_to_sigma_sq(snr_db), seed=3)
+        ws = compute_weights_approx(ch, table)
+        forms = {"mld": _negated_loglik_affine(cb, ch),
+                 "mwd-exact": distance_affine(cb, compute_weights_exact(ch, table)),
+                 "mwd": distance_affine(cb, ws), "mwd-hs": _mismatch_affine(cb, ws)}
+        rng = stream_rng(23, int(snr_db))
+        ks = rng.integers(0, cb.size, 2000)
+        obs = quantize_sign(ch.noiseless(cb.symbols.vectors[ks])
+                            + ch.noise_std_per_component * rng.standard_normal((2000, 64)))
+        for name, (base, coef) in forms.items():
+            rx = Receiver(base, coef)
+            crowded = _crowded_rows(monkeypatch)
+            assert_array_equal(rx.detect(obs)[0], _float64_rule(base, coef, obs), err_msg=name)
+            assert "_screen" in vars(rx)
+            if snr_db == 50.0:  # 75-102 of the 2000 rows are crowded
+                assert sum(crowded) > 20, name
+            monkeypatch.undo()
+
+    def test_ties_inside_the_slack_decide_in_float64(self, monkeypatch):
+        # Every codeword of the K = 4096 form twice, at shuffled positions:
+        # every row's two smallest scores tie, so every row is crowded and
+        # goes to the smaller index. Then one twin of each pair is raised
+        # by 1e-9 max|base|, above the float64 tolerance (about 6e-14 of
+        # it) and far below the float32 screen's resolution: the float64
+        # rule must pick the lower twin, whatever its index.
+        ch, table, cb = random_system(3, 32, "qam16", snr_db_to_sigma_sq(30.0), seed=5)
+        base, coef = distance_affine(cb, compute_weights_approx(ch, table))
+        rng = np.random.default_rng(4)
+        rows = rng.permutation(np.tile(rng.permutation(cb.size)[:cb.size // 2], 2))
+        first = {int(r): int(np.flatnonzero(rows == r)[0]) for r in rows}
+        obs = quantize_sign(rng.standard_normal((501, cb.n_outputs)))
+        obs[::2] = cb.codewords[rows[:251]]  # exact matches as well as noise
+        raised = base[rows].copy()
+        raised[rng.random(len(rows)) < 0.5] += 1e-9 * np.max(np.abs(base))
+        for twin_base in (base[rows], raised):
+            crowded = _crowded_rows(monkeypatch)
+            index, score, _ = Receiver(twin_base, coef[rows]).detect(obs)
+            monkeypatch.undo()
+            assert sum(crowded) >= len(obs)
+            assert_array_equal(index, _float64_rule(twin_base, coef[rows], obs))
+            assert_allclose(score, twin_base[index] - np.einsum("tn,tn->t", coef[rows][index], obs))
+            if twin_base is not raised:
+                assert all(first[rows[k]] == k for k in index)
+
+    def test_form_beyond_float32_range_is_not_screened(self, monkeypatch):
+        # base_k = sum_i |coef_ki| up to 8e38, past float32's 3.4e38, so
+        # some codewords would screen as inf; y = sign(coef_k) scores
+        # codeword k at 0. The form is not screened: every row decides in
+        # float64.
+        rng = np.random.default_rng(6)
+        coef = rng.uniform(-1e38, 1e38, size=(1024, 8))
+        base = np.abs(coef).sum(axis=1)
+        assert np.max(base) > np.finfo(np.float32).max
+        obs = np.sign(coef[::4])
+        crowded = _crowded_rows(monkeypatch)
+        index, _, _ = Receiver(base, coef).detect(obs)
+        assert sum(crowded) >= len(obs)
+        assert_array_equal(index, _float64_rule(base, coef, obs))
+        assert_array_equal(np.sign(coef[index]), obs)  # each winner scores 0
+
+    def test_screen_applies_to_wide_blocks_only(self):
+        # BLOCK_VALUES // K <= K from K = 724 on; a single observation and
+        # narrower codebooks never build the float32 copy.
+        assert [obdk.detectors._screens(k) for k in (16, 256, 723, 724, 4096)] == [
+            False, False, False, True, True]
+        for users, scheme, screened in ((2, "qam4", False), (3, "qam16", True)):
+            ch, table, cb = random_system(users, 32, scheme, 0.3, seed=1)
+            rx = Receiver(*distance_affine(cb, compute_weights_approx(ch, table)))
+            rx.detect(cb.codewords[:1])
+            assert "_screen" not in vars(rx)
+            rx.detect(cb.codewords[:2])
+            assert ("_screen" in vars(rx)) == screened
 
 
 class TestRowBlocks:

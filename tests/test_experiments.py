@@ -475,8 +475,12 @@ class TestStateBudget:
         # log-likelihood's tail terms; sep keeps one form and the (G, K)
         # unlisted mass, and peaks in the weights' terms; bound keeps what
         # sep does but the form and its base, and draws no trial indices.
-        needs = {validate_ser_config: fixed + 2 * 8 * k + 33 * entries + 32 * entries,
-                 validate_sep_config: fixed + 8 * k + 25 * entries + 8 * 8 * k + 25 * entries}
+        # At this K full search screens: each form it searches (mld and
+        # mwd for ser, mwd for sep) also keeps its float32 [base, -coef].
+        screen = 4 * (entries + k)
+        needs = {validate_ser_config: fixed + 2 * 8 * k + 33 * entries + 32 * entries + 2 * screen,
+                 validate_sep_config: (fixed + 8 * k + 25 * entries + 8 * 8 * k + 25 * entries
+                                       + screen)}
         needs[run_ser_experiment], needs[run_sep_experiment] = needs.values()
         needs[obdk.experiments.run_bound_sweep] = (fixed - 8 * big.trials + 17 * entries
                                                    + 8 * 8 * k + 25 * entries)
@@ -529,6 +533,16 @@ class TestStateBudget:
         bound = obdk.experiments.run_bound_sweep(replace(sphere, channels=1, snr_db=(0.0,)))
         assert [r.trials for r in bound] == [0]
         validate_ser_config(replace(cfg, trials=100_000_000))
+
+    def test_trial_count_is_checked_only_where_trials_are_drawn(self):
+        # Before, bound was refused with "--trials must be >= 1", a flag it
+        # does not have, for a count it never reads.
+        cfg = ExperimentConfig(2, 4, n_sub=4, list_size=2, list_sizes=(2,), trials=0, channels=1,
+                               snr_db=(0.0,))
+        assert [r.trials for r in obdk.experiments.run_bound_sweep(cfg)] == [0]
+        for check in (validate_ser_config, validate_sep_config, validate_tradeoff_config):
+            with pytest.raises(ConfigError, match="--trials must be >= 1"):
+                check(replace(cfg, detectors=("osd",)))
 
     def test_blocks_run_at_once_count_toward_budget(self, monkeypatch):
         # Each of min(workers, channels) worker processes holds a block.

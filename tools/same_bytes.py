@@ -42,6 +42,15 @@ ARGVS = [
      "--snr-db", "5,30", "--trials", "400", "--channels", "2", "--seed", "4"],
     ["ser", "-U", "1", "-N", "27", *EVERY_DETECTOR, "--ns", "6", "--list-size", "2",
      "--snr-db", "5,30", "--trials", "400", "--channels", "2", "--seed", "5"],
+    # Full search screens in float32 from K = 724 on. Rows are crowded
+    # (decided in float64) most often at 50 dB, about 5% of them.
+    # K = 1024 screens, K = 256 does not.
+    ["ser", *K4096, "--detectors", "mld,mwd-exact,mwd,mwd-hs", "--snr-db", "0,50",
+     "--trials", "400", "--channels", "2", "--seed", "18"],
+    ["ser", "-U", "5", "-N", "16", "--detectors", "mld,mwd", "--snr-db", "5,30",
+     "--trials", "1000", "--channels", "2", "--seed", "19"],
+    ["ser", "-U", "4", "-N", "16", "--detectors", "mld,mwd", "--snr-db", "5,30",
+     "--trials", "1000", "--channels", "2", "--seed", "20"],
     ["sep", *K16, "--ns", "4", "--list-size", "2", "--snr-db", "0,10,30",
      "--trials", "500", "--channels", "4", "--seed", "6"],
     ["sep", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "5,30",
