@@ -43,39 +43,42 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams are independent Philox keys, so workers can own disjoint
     streams (e.g. one per channel realization) and results do not depend
-    on how work is distributed. ``seed`` must be an integer in [0, 2^64)
-    (see :func:`_seed_index`).
+    on how work is distributed. ``seed`` and ``stream`` must be integers
+    in [0, 2^64) (see :func:`_seed_index`).
     """
-    key = np.array([_seed_index(seed), stream], dtype=np.uint64)
+    key = np.array([_seed_index(seed), _seed_index(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _seed_index(seed) -> int:
-    """``seed`` as an int, or ValueError unless it is an integer in
-    [0, 2^64): the key is built as uint64 words, so every such seed keys
-    its own streams, where 1.5 or -1 would key those of another seed."""
+def _seed_index(value, name: str = "seed") -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is an
+    integer in [0, 2^64): the key is built of uint64 words, where 1.5
+    would key another seed's (or stream's) values and -1 fail in numpy."""
     try:
-        seed = operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
 class ComplexChannel:
-    """Complex channel matrix, N receive antennas x U single-antenna users."""
+    """Complex channel matrix, N receive antennas x U single-antenna users;
+    ``entries`` is a read-only copy of the matrix passed in."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.entries, dtype=np.complex128)
+        h = readonly_copy(self.entries, np.complex128)
         if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
             raise ValueError("channel matrix must be 2-D with positive dimensions")
         if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
             raise ValueError("channel matrix contains non-finite entries")
         object.__setattr__(self, "entries", h)
+
+    __reduce__ = reduce_by_fields
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,18 +150,13 @@ class SphereTable:
 
 
 def _row_blocks(n_rows: int, width: int):
-    """Balanced, in-order slices that cover ``range(n_rows)``, for work
-    that holds ``width`` values per row.
-
-    A block has at most ``BLOCK_VALUES // width`` rows, and never a
-    single row when ``n_rows >= 2``: a one-row product goes through
-    GEMV instead of GEMM and rounds differently, so a row's result would
-    depend on where it sits in the batch. Where the budget allows at
-    most two rows, blocks have two, and one has three if ``n_rows`` is
-    odd. An empty batch still gives one (empty) block.
-    """
-    cap = max(2, BLOCK_VALUES // max(width, 1))
-    count = max(1, min(-(-n_rows // cap), n_rows // 2))
+    """Balanced, in-order slices that cover ``range(n_rows)``, as few as
+    keep each within ``max(1, BLOCK_VALUES // width)`` rows of ``width``
+    values; an empty batch gives one (empty) block. A row's GEMM score
+    may differ in its last bits with its block, its winner does not (see
+    :class:`Receiver`)."""
+    cap = max(1, BLOCK_VALUES // max(width, 1))
+    count = max(1, -(-n_rows // cap))
     size, extra = divmod(n_rows, count)
     start = 0
     for i in range(count):
@@ -266,22 +261,23 @@ class Receiver:
     :data:`BLOCK_VALUES` values of its largest temporary each
     (:attr:`row_values` per row: K scores for full search, G * L * 2N
     for the sphere search, whose candidates are also looked up block by
-    block). Peak memory is then bounded whatever the batch size, and no
-    block has a single row, so every observation gets the same bits
-    wherever it sits in the batch. Each score block is laid out along
+    block). Peak memory is then bounded whatever the batch size.
+    Screened and gathered scores are per-row products, so they do not
+    depend on the batch; a GEMM score can differ in its last bits with
+    its row's place in the block. Each score block is laid out along
     its longer side (column-major when it has more rows than columns),
     so the min, tie and argmax passes run across contiguous memory.
 
     Scores closer than rounding can tell apart tie. Every affine form
-    here has sum_i |coef_ki| <= |base_k|, so one computed score errs by
-    at most (2N + 1) eps |base_k|, and the gap between two compared
-    scores by at most 2 (2N + 1) eps times the larger |base| of the
-    rows being compared: all K for full search, the listed candidates
-    of each observation for the sphere search. The tolerance is twice
-    that bound; codewords that are not compared do not enter it. The
-    full-search tolerance is fixed when the receiver is built.
+    here has sum_i |coef_ki| <= |base_k|, so a score summed in any order
+    errs by at most (2N + 1) eps |base_k|, and the gap between two
+    compared scores by at most 2 (2N + 1) eps times the larger |base| of
+    the rows being compared: all K for full search, the listed
+    candidates of each observation for the sphere search. The tolerance
+    is twice that bound; codewords that are not compared do not enter
+    it. The full-search tolerance is fixed when the receiver is built.
 
-    Full search screens a block of two or more rows in float32 where
+    Full search screens every block in float32 where
     :func:`_screens` holds (K >= 724: full blocks of BLOCK_VALUES // K
     rows are no taller than wide). One float32 GEMM scores [1, y]
     against a float32 [base, -coef], kept from the first screened batch
@@ -297,11 +293,10 @@ class Receiver:
     (for 2N below 2^20). A row whose second minimum lies beyond it has
     one codeword in that window, which is therefore the float64 rule's
     only candidate: its winner, ties included. The other rows are
-    crowded and decide by the float64 rule on a GEMM of the crowded rows
-    (a lone one twice). A form whose sums may leave the float32 range is
-    not screened. Every screened row then takes its score from its
-    own gathered product base_k - coef_k . y, so a score does not depend
-    on the batch. Single observations, the sphere search and narrower
+    crowded and decide by the float64 rule on the scores of the crowded
+    rows only. A form whose sums may leave the float32 range is not
+    screened. Every screened row then takes its score from its own
+    gathered product base_k - coef_k . y. The sphere search and narrower
     codebooks (taller blocks, where the screen costs more than it saves)
     never build the float32 copy.
     """
@@ -392,8 +387,8 @@ class Receiver:
         return form, np.float32(slack)
 
     def _decide_screened(self, obs):
-        """Full search of a block of two or more float64 rows through the
-        float32 screen of the class docstring."""
+        """Full search of a block of float64 rows through the float32
+        screen of the class docstring."""
         form, slack = self._screen
         ones_obs = np.empty((len(obs), len(form)), dtype=np.float32)
         ones_obs[:, 0] = 1
@@ -405,16 +400,14 @@ class Receiver:
         scores[rows, best] = np.inf
         crowded = np.flatnonzero(~(scores.min(axis=1) > low + slack))  # NaN crowds too
         if len(crowded):
-            exact = self._scores(obs[np.resize(crowded, max(2, len(crowded)))])  # GEMM, not GEMV
-            won = (exact <= exact.min(axis=1, keepdims=True) + self._full_tol).argmax(axis=1)
-            best[crowded] = won[:len(crowded)]
+            exact = self._scores(obs[crowded])
+            best[crowded] = (exact <= exact.min(axis=1, keepdims=True) + self._full_tol).argmax(1)
         score = self.base[best] - np.einsum("tn,tn->t", self.coef[best], obs)
         return best, score, np.full(len(obs), len(self.base))
 
     def _decide(self, obs, cand):
         obs = np.asarray(obs, dtype=np.float64)
-        if (self.table is None and len(obs) >= 2 and _screens(len(self.base))
-                and self._screen is not None):
+        if self.table is None and _screens(len(self.base)) and self._screen is not None:
             return self._decide_screened(obs)
         if cand is None and self.table is not None:
             cand = _candidates(self.table, obs)

@@ -178,8 +178,7 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
     """Reject missing sphere parameters, run the rules of :class:`SphereConfig`
     for each of ``list_sizes`` in order (empty: no table), then reject a
     state above :data:`STATE_BUDGET_BYTES` before anything is enumerated:
-    the charge of one block times the min(``cfg.workers``,
-    ``cfg.channels``) blocks that :func:`_channel_totals` runs at once.
+    the charge of one block times :func:`_blocks_at_once`.
 
     A block of ``detectors`` (full-search names, ``osd`` for the sphere
     decoder) is charged what its steps keep and the largest extra that
@@ -224,7 +223,7 @@ def _check_sphere(cfg: ExperimentConfig, detectors, list_sizes=(), mass: bool = 
         kept += 8 * groups * k_total * mass
         sweep = _SWEEP_COST_BYTES * k_total * cfg.n_sub * _sweep_groups(cfg.n_sub, k_total, groups)
         extra = max(extra, lists * longest + sweep)
-    blocks = min(cfg.workers, cfg.channels)
+    blocks = _blocks_at_once(cfg)
     draws = 8 * cfg.trials if detectors else 0
     need = blocks * (kept + extra + draws + 3 * 8 * BLOCK_VALUES)
     if need > STATE_BUDGET_BYTES:
@@ -336,10 +335,9 @@ def _distinct_rows(obs: np.ndarray):
 
     Rows are told apart by the GEMV key obs @ (-2^i), a sum of distinct
     powers of two, hence exact while 2N <= :data:`MAX_KEYED_OUTPUTS`; a
-    wider block comes back as it is, with the identity ``inverse``. Two
-    or more rows never come back as one: a lone distinct row is returned
-    twice, so that it is scored by GEMM like every other block (see
-    :func:`_row_blocks`).
+    wider block comes back as it is, with the identity ``inverse``. A lone
+    distinct row comes back once: a receiver's winners do not depend on
+    the rows that share its block (see :func:`_row_blocks`).
     """
     trials, width = obs.shape
     if width > MAX_KEYED_OUTPUTS:
@@ -347,8 +345,6 @@ def _distinct_rows(obs: np.ndarray):
     keys, inverse = np.unique(obs @ -np.exp2(np.arange(width)), return_inverse=True)
     rows = np.empty(len(keys), dtype=np.intp)
     rows[inverse] = np.arange(trials)  # one trial of each distinct row
-    if len(rows) == 1 and trials > 1:
-        rows = np.arange(2)
     return obs[rows], inverse
 
 
@@ -438,17 +434,23 @@ def _channel_sweep(block, cfg: ExperimentConfig, channel_index: int) -> list:
             for snr in cfg.snr_db]
 
 
+def _blocks_at_once(cfg: ExperimentConfig) -> int:
+    """Worker processes of :func:`_channel_totals`, a block each."""
+    return min(cfg.workers, cfg.channels)
+
+
 def _channel_totals(block, cfg: ExperimentConfig) -> list:
     """(SNR, totals) for each SNR of ``cfg`` in order: the tuples of
-    :func:`_channel_sweep` over every channel index, in ``cfg.workers``
-    processes, summed elementwise in channel order."""
+    :func:`_channel_sweep` over every channel index, in the
+    :func:`_blocks_at_once` processes, summed elementwise in channel order."""
     sweep = partial(_channel_sweep, block, cfg)
-    if cfg.workers <= 1:
+    workers = _blocks_at_once(cfg)
+    if workers <= 1:
         partials = [sweep(ci) for ci in range(cfg.channels)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(sweep, range(cfg.channels)))
     return [(snr, tuple(map(sum, zip(*point)))) for snr, point in zip(cfg.snr_db, zip(*partials))]
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -158,6 +160,16 @@ class TestRealChannelValidation:
         with pytest.raises(ValueError, match="channel matrix contains non-finite entries"):
             ComplexChannel(np.array([[1.0, 1j * bad]]))
 
+    def test_complex_channel_holds_a_read_only_copy(self):
+        # Before, entries aliased the caller's array, so a later write showed through.
+        h = np.ones((2, 1), dtype=complex)
+        c = ComplexChannel(h)
+        h[0, 0] = np.nan
+        assert_array_equal(c.entries, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            c.entries[0, 0] = 2
+        assert not pickle.loads(pickle.dumps(c)).entries.flags.writeable
+
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (3,), (1, 1, 1)])
     def test_complex_channel_rejects_bad_dimensions(self, shape):
         with pytest.raises(ValueError, match="2-D with positive dimensions"):
@@ -198,3 +210,12 @@ class TestStreamRng:
     def test_seed_outside_64_bits_is_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             stream_rng(seed)
+
+    @pytest.mark.parametrize("stream, message", [
+        (1.5, "stream must be an integer"), (-1, "stream must lie in"), (2**64, "stream must lie in")])
+    def test_stream_outside_64_bits_or_not_integer_is_rejected(self, stream, message):
+        # Before, stream 1.5 drew what stream 1 draws, and -1 raised numpy's OverflowError.
+        with pytest.raises(ValueError, match=message):
+            stream_rng(3, stream)
+        assert np.array_equal(stream_rng(3, np.uint64(1)).standard_normal(4),
+                              stream_rng(3, 1).standard_normal(4))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 import tracemalloc
@@ -131,6 +132,30 @@ class TestSerExperiment:
         a = records_to_csv(run_ser_experiment(_small_cfg(workers=1)))
         b = records_to_csv(run_ser_experiment(_small_cfg(workers=2)))
         assert a == b
+
+    @pytest.mark.parametrize("workers, channels, pools", [(3, 2, [2]), (4, 1, [])])
+    def test_pool_has_no_more_workers_than_channels(self, workers, channels, pools, monkeypatch):
+        # Before, the pool was sized by workers alone, and a fork pool starts
+        # every worker at the first submit: 6 processes for one channel.
+        sizes = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        cfg = _small_cfg(detectors=("mwd",), n_sub=None, list_size=None, trials=10,
+                         channels=channels, workers=workers)
+        assert run_ser_experiment(cfg) == run_ser_experiment(replace(cfg, workers=1))
+        assert sizes == pools
 
     def test_deterministic_repeat(self):
         cfg = _small_cfg()
@@ -336,7 +361,7 @@ class TestDistinctRows:
                     assert_array_equal(winners[inverse], every_winner)
                     assert_array_equal(lens[inverse], every_len)
                 if name == "same-observation":
-                    assert len(distinct) == 2 and not inverse.any()
+                    assert len(distinct) == 1 and not inverse.any()
                 elif name == "2n-54":
                     assert_array_equal(inverse, np.arange(len(ks)))
                 elif snr == 30.0:
@@ -363,8 +388,7 @@ class TestDistinctRows:
         if width > MAX_KEYED_OUTPUTS:
             assert distinct is obs
         else:
-            count = len(set(picks))
-            assert len(distinct) == (2 if count == 1 < len(picks) else count)
+            assert len(distinct) == len(set(picks))
 
 
 class TestTradeoffSweep:

@@ -53,6 +53,12 @@ ARGVS = [
      "--trials", "1000", "--channels", "2", "--seed", "20"],
     ["sep", *K16, "--ns", "4", "--list-size", "2", "--snr-db", "0,10,30",
      "--trials", "500", "--channels", "4", "--seed", "6"],
+    # Blocks of a lone distinct row: two or three trials over K = 2 at
+    # 40 and 60 dB often observe a single vector.
+    ["ser", "-U", "1", "-N", "1", "--mod", "bpsk", *EVERY_DETECTOR, "--ns", "2",
+     "--list-size", "1", "--snr-db", "40,60", "--trials", "2", "--channels", "50", "--seed", "21"],
+    ["sep", "-U", "1", "-N", "1", "--mod", "bpsk", "--ns", "1", "--list-size", "1",
+     "--snr-db", "40,60", "--trials", "3", "--channels", "50", "--seed", "22"],
     ["sep", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "5,30",
      "--trials", "200", "--channels", "2", "--seed", "7"],
     ["bound", *K16, "--ns", "8", "--list-size", "4", "--snr-db", "0,10,30",
