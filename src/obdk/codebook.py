@@ -29,7 +29,7 @@ SCHEMES = tuple(_LEVELS)
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Unit-average-power constellation.
+    """Unit-average-power constellation over a read-only copy of its points.
 
     ``complex_points`` are ordered ascending by real part, then imaginary
     part; a scheme without levels keeps its imaginary parts at zero.
@@ -39,11 +39,13 @@ class Constellation:
     complex_points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.complex_points, dtype=np.complex128)
+        pts = readonly_copy(self.complex_points, np.complex128)
         power = np.mean(np.abs(pts) ** 2)
         if abs(power - 1.0) > 1e-12:
             raise ValueError(f"constellation average power is {power}, expected 1")
         object.__setattr__(self, "complex_points", pts)
+
+    __reduce__ = reduce_by_fields
 
     @property
     def size(self) -> int:
@@ -74,7 +76,7 @@ class SymbolTable:
     symbol runs from the largest constellation point (descending real,
     then descending imaginary) downwards, so index 0 is the all-largest
     vector. Indices are stable across runs. ``vectors`` is a read-only
-    copy of the array passed in.
+    (K, 2U) copy of the array passed in.
     """
 
     vectors: np.ndarray
@@ -83,6 +85,8 @@ class SymbolTable:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", readonly_copy(self.vectors))
+        if self.vectors.ndim != 2 or self.vectors.shape[1] != 2 * self.users:
+            raise ValueError(f"symbol vectors have shape {self.vectors.shape}, expected (K, 2U)")
 
     __reduce__ = reduce_by_fields
 

@@ -259,9 +259,11 @@ class Receiver:
 
     A batch is scored in the row blocks of :func:`_row_blocks`, at most
     :data:`BLOCK_VALUES` values of its largest temporary each
-    (:attr:`row_values` per row: K scores for full search, G * L * 2N
-    for the sphere search, whose candidates are also looked up block by
-    block). Peak memory is then bounded whatever the batch size.
+    (:attr:`row_values` per row: K scores for full search; for the
+    sphere search, whose candidates are also looked up block by block,
+    the G * L * 2N gathered coefficients or the K <= G * L * 2N scores
+    read in their place). Peak memory is then bounded whatever the
+    batch size.
     Screened and gathered scores are per-row products, so they do not
     depend on the batch; a GEMM score can differ in its last bits with
     its row's place in the block. Each score block is laid out along
@@ -270,12 +272,13 @@ class Receiver:
 
     Scores closer than rounding can tell apart tie. Every affine form
     here has sum_i |coef_ki| <= |base_k|, so a score summed in any order
-    errs by at most (2N + 1) eps |base_k|, and the gap between two
-    compared scores by at most 2 (2N + 1) eps times the larger |base| of
-    the rows being compared: all K for full search, the listed
-    candidates of each observation for the sphere search. The tolerance
-    is twice that bound; codewords that are not compared do not enter
-    it. The full-search tolerance is fixed when the receiver is built.
+    errs by at most (2N + 1) eps |base_k|, and the gap between any two
+    scores by at most 2 (2N + 1) eps max|base|. The tolerance, twice
+    that, is fixed per form when the receiver is built and bounds every
+    pair of the form's scores, listed or not. Every search of the form
+    decides by its one window (:meth:`_winners`), so a sphere search
+    returns full search's listed winner unless a score lies within
+    rounding of the window's edge.
 
     Full search screens every block in float32 where
     :func:`_screens` holds (K >= 724: full blocks of BLOCK_VALUES // K
@@ -286,47 +289,39 @@ class Receiver:
     the smallest subnormal), and the GEMM sums them with error at most
     gamma_2N of their absolute sum, itself at most 2 |base_k|; so a
     float32 score errs by at most B32 = (2N + 3) (eps32 max|base| +
-    smallest subnormal). With e64 = (2N + 1) eps max|base| bounding a
-    float64 score, every codeword within the tolerance of the float64
-    minimum lies within the slack tol + 2 (B32 + e64) of the float32
-    minimum; the slack also covers the float32 rounding of the threshold
-    (for 2N below 2^20). A row whose second minimum lies beyond it has
-    one codeword in that window, which is therefore the float64 rule's
-    only candidate: its winner, ties included. The other rows are
-    crowded and decide by the float64 rule on the scores of the crowded
-    rows only. A form whose sums may leave the float32 range is not
-    screened. Every screened row then takes its score from its own
-    gathered product base_k - coef_k . y. The sphere search and narrower
-    codebooks (taller blocks, where the screen costs more than it saves)
-    never build the float32 copy.
+    smallest subnormal). With e64 = tol / 4 bounding a float64 score,
+    every codeword within the tolerance of the float64 minimum lies
+    within the slack tol + 2 (B32 + e64) of the float32 minimum; the
+    slack also covers the float32 rounding of the threshold (for 2N
+    below 2^20). A row whose second minimum lies beyond it has one
+    codeword in that window, the float64 rule's only candidate: its
+    winner, ties included. The other rows are crowded and go through
+    the window on their float64 scores. A form whose sums may leave the
+    float32 range is not screened. Every screened row takes its score
+    from its own gathered product base_k - coef_k . y. The sphere search
+    and narrower codebooks (taller blocks, where the screen costs more
+    than it saves) never build the float32 copy.
     """
 
     base: np.ndarray
     coef: np.ndarray
     table: SphereTable | None = None
-    # Values per observation of the largest temporary of detect: K scores
-    # for full search; for the sphere search the G * L * 2N gathered
-    # coefficients, or the K <= G * L * 2N scores read in their place.
     row_values: int = field(init=False, repr=False)
-    _rel: float = field(init=False, repr=False)
-    _full_tol: float = field(init=False, repr=False)
+    _tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.coef.shape[0] != len(self.base):  # a gathered row would score another codeword
             raise ValueError(
                 f"coef has {self.coef.shape[0]} rows, base has {len(self.base)} entries")
         rel = 4 * (self.coef.shape[1] + 1) * np.finfo(np.float64).eps
-        object.__setattr__(self, "_rel", rel)
-        if self.table is None:  # the sphere search takes its tolerance per observation
-            object.__setattr__(self, "_full_tol", rel * np.max(np.abs(self.base), initial=0.0))
-            values = len(self.base)
-        else:
+        object.__setattr__(self, "_tol", rel * np.max(np.abs(self.base), initial=0.0))
+        values = len(self.base)
+        if self.table is not None:
             table = self.table  # it ranks one codebook: reject one made for another
             if table.codebook_size != len(self.base) or table.n_outputs != self.coef.shape[1]:
                 raise ValueError(
                     f"sphere table was built for {table.codebook_size} codewords of length "
-                    f"{table.n_outputs}, not {len(self.base)} of length {self.coef.shape[1]}"
-                )
+                    f"{table.n_outputs}, not {len(self.base)} of length {self.coef.shape[1]}")
             values = table.group_count * table.list_size * self.coef.shape[1]
         object.__setattr__(self, "row_values", values)
 
@@ -379,7 +374,7 @@ class Receiver:
             return None
         b32 = (n + 3) * (float(f32.eps) * top + float(f32.smallest_subnormal))
         # tol + 2 e64 = 1.5 tol, 2 B32, and 2 eps32 max|base| for the threshold's rounding
-        slack = 1.5 * self._full_tol + 2 * b32 + 2 * float(f32.eps) * top
+        slack = 1.5 * self._tol + 2 * b32 + 2 * float(f32.eps) * top
         form = np.empty((n + 1, len(self.base)), dtype=np.float32)  # (2N + 1, K): faster GEMM
         form[0] = self.base
         np.negative(self.coef.T, out=form[1:])
@@ -400,10 +395,14 @@ class Receiver:
         scores[rows, best] = np.inf
         crowded = np.flatnonzero(~(scores.min(axis=1) > low + slack))  # NaN crowds too
         if len(crowded):
-            exact = self._scores(obs[crowded])
-            best[crowded] = (exact <= exact.min(axis=1, keepdims=True) + self._full_tol).argmax(1)
+            best[crowded] = self._winners(self._scores(obs[crowded]))
         score = self.base[best] - np.einsum("tn,tn->t", self.coef[best], obs)
         return best, score, np.full(len(obs), len(self.base))
+
+    def _winners(self, scores) -> np.ndarray:
+        """Each row's first column within the tolerance of its minimum: the
+        window absorbs how GEMM, GEMV and the gather round a score apart."""
+        return (scores <= scores.min(axis=1, keepdims=True) + self._tol).argmax(axis=1)
 
     def _decide(self, obs, cand):
         obs = np.asarray(obs, dtype=np.float64)
@@ -411,20 +410,14 @@ class Receiver:
             return self._decide_screened(obs)
         if cand is None and self.table is not None:
             cand = _candidates(self.table, obs)
-        # An exact match under the high-SNR rule scores base - coef.y = 0
-        # only up to cancellation noise, which GEMM, GEMV and the gathered
-        # product round differently; see the class docstring for the bound.
         if cand is None:
-            scores, tol = self._scores(obs), self._full_tol
+            scores = self._scores(obs)
+        elif len(self.base) <= self.row_values:  # (rows, K) no larger than the gather
+            scores = np.take_along_axis(self._scores(obs), cand, axis=1)
         else:
-            listed = self.base[cand]  # laid out as cand
-            if len(self.base) <= self.row_values:  # (rows, K) no larger than the gather
-                scores = np.take_along_axis(self._scores(obs), cand, axis=1)
-            else:
-                scores = np.subtract(listed, np.einsum("tcn,tn->tc", self.coef[cand], obs),
-                                     out=np.empty_like(listed))
-            tol = self._rel * np.abs(listed).max(axis=1, keepdims=True)
-        best = (scores <= scores.min(axis=1, keepdims=True) + tol).argmax(axis=1)
+            scores = self.base[cand]  # laid out as cand
+            scores -= np.einsum("tcn,tn->tc", self.coef[cand], obs)
+        best = self._winners(scores)
         rows = np.arange(len(obs))
         if cand is None:
             return best, scores[rows, best], np.full(len(obs), len(self.base))

@@ -153,6 +153,8 @@ def _check_common(cfg: ExperimentConfig, draws: bool = True) -> None:
         raise ConfigError("--trials must be >= 1")
     if cfg.channels < 1:
         raise ConfigError("--channels must be >= 1")
+    if cfg.workers < 1:  # each worker holds a block: the state charge counts them
+        raise ConfigError(f"--workers must be >= 1, got {cfg.workers}")
     if not cfg.snr_db:
         raise ConfigError("--snr-db must list at least one value")
     for snr in cfg.snr_db:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -44,6 +46,21 @@ class TestMakeConstellation:
     def test_rejects_average_power_other_than_one(self, points):
         with pytest.raises(ValueError, match="average power is .*, expected 1"):
             Constellation("custom", np.array(points, dtype=complex))
+
+
+    def test_points_are_a_read_only_copy(self):
+        # Before, the constellation held the caller's array: writing 3 into
+        # it broke unit power after the check and enumerated the point 3.
+        pts = np.array([-1 + 0j, 1 + 0j])
+        c = Constellation("bpsk", pts)
+        pts[0] = 3
+        assert_array_equal(c.complex_points, [-1, 1])
+        assert_array_equal(enumerate_symbol_vectors(c, 1).vectors, [[1, 0], [-1, 0]])
+        with pytest.raises(ValueError, match="read-only"):
+            c.complex_points[0] = 3
+        copy = pickle.loads(pickle.dumps(c))
+        assert_array_equal(copy.complex_points, c.complex_points)
+        assert not copy.complex_points.flags.writeable
 
 
 class TestEnumerateSymbolVectors:
@@ -149,6 +166,14 @@ class TestCodebookChecks:
         _, table, _ = example_system(0.5)
         with pytest.raises(ValueError, match=r"codewords have shape .*, expected \(4, 2N\)"):
             Codebook(np.ones(shape, dtype=np.int8), table)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3,), (3, 4, 1), (3, 2)],
+                             ids=["five-columns", "1-D", "3-D", "two-columns"])
+    def test_symbol_vectors_other_than_two_u_columns_rejected(self, shape):
+        # Before, a (3, 5) table for U = 2 was accepted, and compute_llrs
+        # would read each user's imaginary part from column U + u.
+        with pytest.raises(ValueError, match=r"symbol vectors have shape .*, expected \(K, 2U\)"):
+            SymbolTable(np.zeros(shape), make_constellation("qam4"), 2)
 
     def test_symbol_table_of_other_size_rejected(self):
         _, table, cb = example_system(0.5)

@@ -491,12 +491,14 @@ class TestDetectOsd:
                 tracemalloc.stop()
             assert peak < bound
 
-    def test_tie_tolerance_comes_from_listed_rows(self):
+    def test_listed_tie_decides_as_full_search(self):
         # Every pattern lists codewords 0 and 1. At y = [1, 1] they score
-        # 1 + 1e-12 and 1, a gap far above the rounding of scores near 1;
-        # unlisted codewords 2 and 3 carry weights 1e6 times larger, so a
-        # tolerance taken over all K (about 5e-9) would call the pair a
-        # tie and pick codeword 0.
+        # 1 + 1e-12 and 1, a gap inside the tolerance of the form (about
+        # 5e-9, set by the unlisted codewords 2 and 3, whose weights are
+        # 1e6 times larger): the pair ties, and codeword 0 wins in full
+        # search. Before, the sphere search took its tolerance from the
+        # listed rows alone and picked codeword 1, though full search's
+        # winner was listed.
         codewords = np.array([[1, 1], [1, 1], [-1, -1], [-1, 1]], dtype=np.int8)
         w = np.array([[1.0, 1.0], [1.0, 1.0], [1e6, 1e6], [1e6, 1e6]])
         w_tilde = np.array([[0.5, 0.5 + 1e-12], [0.5, 0.5], [1e6, 1e6], [1e6, 1e6]])
@@ -504,12 +506,14 @@ class TestDetectOsd:
         ws = WeightSet(w, w_tilde)
         sphere = SphereTable(np.tile(np.array([0, 1], dtype=np.uint32), (1, 4, 1)), 4)
         y = np.array([1, 1], dtype=np.int8)
+        assert_array_equal(assemble_list(y, sphere), [0, 1])
         index, score, lens = Receiver(*distance_affine(cb, ws), sphere).detect(y[None])
-        assert (index[0], lens[0]) == (1, 2)
-        assert score[0] == pytest.approx(1.0, abs=1e-15)
+        assert (index[0], lens[0]) == (0, 2)
+        full = detect_mwd(y, cb, ws)
+        assert (full.index, full.list_len) == (0, 4)
         r = detect_osd(y, sphere, cb, ws)
-        assert (r.index, r.list_len) == (1, 2)
-        assert r.distance == pytest.approx(1.0, abs=1e-15)
+        assert (r.index, r.list_len) == (0, 2)
+        assert r.distance == score[0] == full.distance == pytest.approx(1.0 + 1e-12, abs=1e-15)
 
     def test_table_of_another_codebook_rejected(self):
         # Same observation length 2N = 64, K = 16 against K = 4096.
@@ -926,9 +930,8 @@ def _gathered_sphere_search(rx, obs):
     sphere list used before small codebooks read one (T, K) GEMM."""
     obs = np.asarray(obs, dtype=np.float64)
     cand = np.ascontiguousarray(rx.candidates(obs))
-    listed = rx.base[cand]
-    scores = listed - np.einsum("tcn,tn->tc", rx.coef[cand], obs)
-    tol = rx._rel * np.abs(listed).max(axis=1, keepdims=True)
+    scores = rx.base[cand] - np.einsum("tcn,tn->tc", rx.coef[cand], obs)
+    tol = 4 * (rx.coef.shape[1] + 1) * np.finfo(np.float64).eps * np.max(np.abs(rx.base))
     best = np.argmax(scores <= scores.min(axis=1, keepdims=True) + tol, axis=1)
     rows = np.arange(len(obs))
     lens = np.array([len(np.unique(listed_row)) for listed_row in cand])
@@ -1014,6 +1017,31 @@ class TestReceiverProperties:
             listed = assemble_list(y, table)
             assert lens[t] == len(listed)
             assert index[t] in listed
+
+    def test_listed_full_search_winner_is_kept(self):
+        # Criterion 10 as a law: whenever full search's winner is listed,
+        # the sphere search of the same form returns it. Both decide by
+        # one window, so this holds on either sphere branch.
+        branches = []
+
+        @PROPERTY_SETTINGS
+        @given(system=sphere_systems())
+        def check(system):
+            ch, cb, cfg = system
+            ws = compute_weights_approx(ch, cb.symbols)
+            base, coef = distance_affine(cb, ws)
+            sphere = Receiver(base, coef, build_sphere_table(cb, ws, cfg))
+            obs = _all_observations(cb.n_outputs)
+            full, _, _ = Receiver(base, coef).detect(obs)
+            cand = sphere.candidates(obs)
+            narrowed, _, _ = sphere.detect(obs, cand)
+            listed = np.any(cand == full[:, None], axis=1)
+            assert listed.any()
+            assert_array_equal(narrowed[listed], full[listed])
+            branches.append(cb.size <= sphere.row_values)  # the (T, K) GEMM, else the gather
+
+        check()
+        assert set(branches) == {False, True}
 
     @PROPERTY_SETTINGS
     @given(system=sphere_systems(), data=st.data())

@@ -516,6 +516,24 @@ class TestStateBudget:
         with pytest.raises(ConfigError, match="budget"):
             validate_tradeoff_config(replace(big, list_sizes=(1, 4)))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        # Before, min(workers, channels) blocks were charged, so -U 6 -N 32
+        # qam16 (K = 2^24), refused with one worker, was accepted with none.
+        message = f"--workers must be >= 1, got {workers}"
+        big = ExperimentConfig(6, 32, "qam16", detectors=("mwd",), workers=workers)
+        with pytest.raises(ConfigError, match="budget"):
+            validate_ser_config(replace(big, workers=1))
+        sphere = replace(big, n_sub=8, list_size=4, list_sizes=(4,))
+        for check, cfg in ((validate_ser_config, big), (validate_sep_config, sphere),
+                           (validate_tradeoff_config, sphere)):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                check(cfg)
+        tiny = ExperimentConfig(1, 1, n_sub=1, list_size=1, channels=1, snr_db=(0.0,),
+                                workers=workers)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            obdk.experiments.run_bound_sweep(tiny)
+
     def test_sphere_table_counts_toward_budget(self):
         # K = 2^16 at 2N = 40: sep is charged about 150 MB besides its
         # table; lists of 200 entries over 2 x 2^20 patterns add 1.7 GB

@@ -53,6 +53,17 @@ ARGVS = [
      "--trials", "1000", "--channels", "2", "--seed", "20"],
     ["sep", *K16, "--ns", "4", "--list-size", "2", "--snr-db", "0,10,30",
      "--trials", "500", "--channels", "4", "--seed", "6"],
+    # The sphere search where scores tie: listed cells decide by the
+    # window of full search. K = 4096 takes the (T, K) GEMM branch at
+    # L = 16 and 64 and gathers at L = 4; K = 16 gathers at L = 1.
+    ["tradeoff", *K4096, "--ns", "8", "--list-sizes", "64,16,4", "--snr-db", "30,40,50",
+     "--trials", "200", "--channels", "2", "--seed", "23", "--format", "json"],
+    ["ser", *K4096, "--detectors", "mwd,osd", "--ns", "8", "--list-size", "16",
+     "--snr-db", "0,50", "--trials", "300", "--channels", "2", "--seed", "24"],
+    ["sep", *K4096, "--ns", "8", "--list-size", "4", "--snr-db", "40,50",
+     "--trials", "200", "--channels", "2", "--seed", "25"],
+    ["ser", "-U", "2", "-N", "4", "--detectors", "mwd,osd", "--ns", "8", "--list-size", "1",
+     "--snr-db", "0,30,50", "--trials", "2000", "--channels", "4", "--seed", "26"],
     # Blocks of a lone distinct row: two or three trials over K = 2 at
     # 40 and 60 dB often observe a single vector.
     ["ser", "-U", "1", "-N", "1", "--mod", "bpsk", *EVERY_DETECTOR, "--ns", "2",
