@@ -47,7 +47,6 @@ class TestMakeConstellation:
         with pytest.raises(ValueError, match="average power is .*, expected 1"):
             Constellation("custom", np.array(points, dtype=complex))
 
-
     def test_points_are_a_read_only_copy(self):
         # Before, the constellation held the caller's array: writing 3 into
         # it broke unit power after the check and enumerated the point 3.
